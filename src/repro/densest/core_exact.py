@@ -14,6 +14,11 @@ with the four optimizations of §6.1:
 * shrink: whenever l grows past the located core order, the component
   is re-restricted to the higher core and the network shrinks.
 
+Each component's network (with its Lemma-8 mask) is built once, and
+again only when the component shrinks to a higher core; the probes in
+between warm-start from the flow of the last non-empty cut (see
+``repro.densest.network``).
+
 One printed-algorithm fix (documented in DESIGN.md): ``u`` is reset to
 ``k_max`` per component — a cut certificate "no subgraph denser than
 alpha in C" says nothing about other components — and D starts as the
@@ -71,6 +76,7 @@ def core_exact(
         "instances": int(members.shape[0]),
         "n": n,
         "network_sizes": [],
+        "network_builds": 0,
         "iterations": 0,
     }
     if kmax == 0 or n < 2:
@@ -94,8 +100,8 @@ def core_exact(
         """Connected components (vertex lists) of G[vset]."""
         if not vset:
             return []
-        keep = np.fromiter((s in vset and d in vset for s, d in zip(esrc, edst)),
-                           dtype=bool, count=len(esrc))
+        vs = np.fromiter(vset, dtype=np.int64, count=len(vset))
+        keep = np.isin(esrc, vs) & np.isin(edst, vs)
         import pandas as pd
 
         roots = components_pandas(
@@ -132,6 +138,24 @@ def core_exact(
             comps = comps_of(core_vertices(k_loc))
     t_locate = time.perf_counter() - t2
 
+    def network_for(cset: set, alpha: float) -> tuple:
+        """Flow network of G[cset] at ``alpha``, Lemma-8 pruned."""
+        mem_c = members[instances_inside(members, cset)]
+        keep = (
+            lemma8_keep_mask(mem_c, len(cset), cap=lemma8_cap)
+            if use_lemma8
+            else None
+        )
+        stats["network_builds"] += 1
+        return build_network(cset, mem_c, alpha, p, grouped=grouped, keep_mask=keep)
+
+    def solve(nw: tuple, alpha: float) -> list:
+        net, s, t, vid2node, n_nodes = nw
+        net.set_alpha(alpha)
+        stats["network_sizes"].append(n_nodes)
+        stats["iterations"] += 1
+        return min_cut_vertices(net, s, t, vid2node)
+
     # -- per-component binary search ----------------------------------------
     t3 = time.perf_counter()
     for comp in comps:
@@ -143,23 +167,10 @@ def core_exact(
         if len(cset) < 2:
             continue
         u = float(kmax)
-
-        def solve(alpha: float, cset: set):
-            mem_c = members[instances_inside(members, cset)]
-            keep = (
-                lemma8_keep_mask(mem_c, len(cset), cap=lemma8_cap)
-                if use_lemma8
-                else None
-            )
-            net, s, t, vid2node, n_nodes = build_network(
-                cset, mem_c, alpha, p, grouped=grouped, keep_mask=keep
-            )
-            stats["network_sizes"].append(n_nodes)
-            stats["iterations"] += 1
-            return min_cut_vertices(net, s, t, vid2node)
+        nw = network_for(cset, l)
 
         # feasibility probe at alpha = l (Alg. 4 lines 8-10)
-        cut = solve(l, cset)
+        cut = solve(nw, l)
         if not cut:
             continue
         d = exact_density(members, cut)
@@ -171,7 +182,7 @@ def core_exact(
             if u - l < gap or nc < 2:
                 break
             alpha = (l + u) / 2.0
-            cut = solve(alpha, cset)
+            cut = solve(nw, alpha)
             if not cut:
                 u = alpha
             else:
@@ -181,7 +192,11 @@ def core_exact(
                     best_d, best = d, sorted(cut)
                 if _ceil(l) > cur_k:
                     cur_k = _ceil(l)
-                    cset &= core_vertices(cur_k)
+                    smaller = cset & core_vertices(cur_k)
+                    if len(smaller) < len(cset):
+                        cset = smaller
+                        if len(cset) >= 2:
+                            nw = network_for(cset, l)
     t_flow = time.perf_counter() - t3
 
     return DSDResult(

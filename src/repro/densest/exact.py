@@ -1,10 +1,12 @@
 """Exact (Algorithm 1): whole-graph flow-network binary search [24, 51].
 
 The baseline the paper improves on: bounds alpha in
-[0, max clique-degree], rebuilds the network over the ENTIRE graph in
-every iteration, and stops when u - l < 1/(n(n-1)). Instance
-enumeration is Spark dataflow; the per-iteration min-cut runs on the
-driver (see DESIGN.md layering).
+[0, max clique-degree], probes a flow network over the ENTIRE graph in
+every iteration, and stops when u - l < 1/(n(n-1)). The probe sequence
+is Algorithm 1's; the network is built once and each probe warm-starts
+from the flow of the last non-empty cut (see ``repro.densest.network``).
+Instance enumeration is Spark dataflow; the per-iteration min-cut runs
+on the driver (see DESIGN.md layering).
 """
 from __future__ import annotations
 
@@ -40,19 +42,21 @@ def exact_densest(
         return DSDResult(
             "Exact", pattern.name, sorted(best), exact_density(members, best),
             timings={"enumerate": t_enum, "flow": 0.0, "total": time.perf_counter() - t0},
-            stats={"iterations": 0, "n": n, "instances": int(members.shape[0])},
+            stats={"iterations": 0, "n": n, "instances": int(members.shape[0]),
+                   "network_sizes": [], "network_builds": 0},
         )
 
     _, counts = np.unique(members, return_counts=True)
     lo, hi = 0.0, float(counts.max())
     gap = 1.0 / (n * (n - 1))
-    iters = 0
+    sizes: list = []
     t_flow0 = time.perf_counter()
+    net, s, t, vid2node, n_nodes = build_network(allv, members, lo, p, grouped=grouped)
     while hi - lo >= gap:
         alpha = (lo + hi) / 2.0
-        net, s, t, vid2node, _ = build_network(allv, members, alpha, p, grouped=grouped)
+        net.set_alpha(alpha)
         cut = min_cut_vertices(net, s, t, vid2node)
-        iters += 1
+        sizes.append(n_nodes)
         if not cut:
             hi = alpha
         else:
@@ -70,5 +74,6 @@ def exact_densest(
             "flow": t_flow,
             "total": time.perf_counter() - t0,
         },
-        stats={"iterations": iters, "n": n, "instances": int(members.shape[0])},
+        stats={"iterations": len(sizes), "n": n, "instances": int(members.shape[0]),
+               "network_sizes": sizes, "network_builds": 1},
     )

@@ -8,16 +8,56 @@ instances sharing a vertex set collapse into one group node g with
 v -> g cap |g| and g -> v cap |g| * (|V_Psi| - 1). Lemma 12 guarantees
 identical min-cut capacity (tested).
 
-The returned solver exposes the min-cut source side; the subgraph
-candidate is its vertex part.
+A network is built once per vertex set and probed at many alpha. Only
+the sink arcs depend on alpha, and a feasible flow at alpha stays
+feasible when the sink arcs are raised, so the network keeps one saved
+flow: the residual capacities of the last probe whose cut was non-empty
+(at first, the zero flow at the build alpha). ``set_alpha`` loads it and
+raises every sink arc by (alpha - saved alpha) * |V_Psi|; Dinic then only
+augments. A non-empty cut means alpha < rho*, which the binary search
+makes its new lower bound l, so every later probe has alpha above the
+saved one. This is the warm start of parametric max-flow (Gallo,
+Grigoriadis & Tarjan, SIAM J. Comput. 1989). The min-cut source side
+returned is the set reachable from s in the residual graph, which is the
+same for every maximum flow, so warm and fresh probes give the same cut.
 """
 from __future__ import annotations
 
-from collections import Counter
+from itertools import combinations
 
 import numpy as np
 
 from repro.flow.dinic import Dinic
+
+
+class DensityNetwork(Dinic):
+    """Dinic graph of one vertex set, probed at rising alpha."""
+
+    def __init__(self, n: int, p: int, alpha: float):
+        super().__init__(n)
+        self.p = p
+        self.alpha = alpha  # alpha the sink arcs are set to
+        self.sink_arcs: list[int] = []
+        # (alpha, residual caps) of a feasible flow at that alpha; ``cap``
+        # may alias it while ``alpha`` equals the saved alpha. At first it
+        # is the zero flow: ``add_edge`` extends this same list.
+        self._saved: tuple = (alpha, self.cap)
+
+    def set_alpha(self, alpha: float) -> None:
+        """Load the saved flow with the sink arcs raised to ``alpha``."""
+        base, saved = self._saved
+        if alpha < base:
+            raise ValueError(f"alpha {alpha} is below the saved flow's alpha {base}")
+        cap = list(saved)
+        d = (alpha - base) * self.p
+        for e in self.sink_arcs:
+            cap[e] += d
+        self.cap = cap
+        self.alpha = alpha
+
+    def keep_flow(self) -> None:
+        """Save the current residual capacities as the warm start."""
+        self._saved = (self.alpha, self.cap)
 
 
 def group_instances(members: np.ndarray) -> tuple:
@@ -41,7 +81,7 @@ def build_network(
     grouped: bool = False,
     keep_mask: np.ndarray | None = None,
 ):
-    """Build the Algorithm-1 / construct+ flow network.
+    """Build the Algorithm-1 / construct+ flow network at ``alpha``.
 
     ``vertex_ids``: vertices of the (sub)graph the network is built on.
     ``members``:    instance member matrix restricted to that subgraph.
@@ -50,7 +90,8 @@ def build_network(
                     degrees over *kept* instances only (per the Lemma 8
                     proof, clique-degrees drop by one per removed instance).
 
-    Returns (dinic, s, t, vid2node, n_nodes) with vertex nodes 1..n.
+    Returns (net, s, t, vid2node, n_nodes) with vertex nodes 1..n; ``net``
+    is a ``DensityNetwork`` whose ``sink_arcs`` are the vertex -> t arcs.
     """
     vids = sorted(int(v) for v in vertex_ids)
     vid2node = {v: i + 1 for i, v in enumerate(vids)}
@@ -66,40 +107,52 @@ def build_network(
     ng = gm.shape[0]
     s = 0
     t = nv + ng + 1
-    net = Dinic(t + 1)
+    net = DensityNetwork(t + 1, p, alpha)
 
-    deg = Counter()
-    for r in range(ng):
-        c = int(gcount[r])
-        for v in gm[r]:
-            deg[int(v)] += c
+    # member vertex ids -> node ids (members lie inside vertex_ids)
+    nodes = np.searchsorted(np.asarray(vids, dtype=np.int64), gm) + 1
+    deg = np.bincount(nodes.ravel(), weights=np.repeat(gcount, gm.shape[1]),
+                      minlength=nv + 1)
 
-    for v in vids:
-        net.add_edge(s, vid2node[v], float(deg[v]))
-        net.add_edge(vid2node[v], t, alpha * p)
-    for r in range(ng):
+    for i in range(1, nv + 1):
+        net.add_edge(s, i, float(deg[i]))
+        net.sink_arcs.append(len(net.to))
+        net.add_edge(i, t, alpha * p)
+    for r, (row, c) in enumerate(zip(nodes.tolist(), gcount.tolist())):
         gnode = nv + 1 + r
-        c = int(gcount[r])
-        for v in gm[r]:
-            net.add_edge(vid2node[int(v)], gnode, float(c))
-            net.add_edge(gnode, vid2node[int(v)], float(c * (p - 1)))
+        for v in row:
+            net.add_edge(v, gnode, float(c))
+            net.add_edge(gnode, v, float(c * (p - 1)))
     return net, s, t, vid2node, t + 1
 
 
-def min_cut_vertices(net: Dinic, s: int, t: int, vid2node: dict) -> list:
-    """Run max-flow and return graph vertices on the source side of the cut."""
+def min_cut_vertices(net: DensityNetwork, s: int, t: int, vid2node: dict) -> list:
+    """Run max-flow and return graph vertices on the source side of the cut.
+
+    A non-empty cut's flow is kept as the warm start for later probes.
+    """
     net.max_flow(s, t)
     side = net.min_cut_source_side(s)
-    return sorted(v for v, node in vid2node.items() if node in side)
+    cut = sorted(v for v, node in vid2node.items() if node in side)
+    if cut:
+        net.keep_flow()
+    return cut
 
 
 def lemma8_keep_mask(members: np.ndarray, n_vertices: int, cap: int = 20_000) -> np.ndarray:
     """Lemma-8 instance pruning mask (True = keep the instance node).
 
     An instance psi may be dropped if deleting its members from G raises
-    the density: mu'/(n-p) > mu/n where mu' counts instances avoiding
-    psi's members. Applied only when |Lambda| <= cap (it is a
-    constant-factor optimization; skipping it never affects correctness).
+    the density: mu'/(n-p) > mu/n, tested as mu'*n > mu*(n-p), where mu'
+    counts instances avoiding psi's members. Applied only when
+    |Lambda| <= cap (it is a constant-factor optimization; skipping it
+    never affects correctness).
+
+    mu - mu' = |U_{v in psi} I(v)|, with I(v) the instances containing v,
+    is counted by inclusion-exclusion over the subsets of psi:
+    sum over nonempty S of (-1)^(|S|+1) * #{instances containing S}. The
+    counts come from one ``np.unique`` per subset size over integer keys
+    of locally renumbered ids, so the cost is O(|Lambda| 2^p log|Lambda|).
     """
     m = members.shape[0]
     if m == 0 or m > cap:
@@ -107,17 +160,21 @@ def lemma8_keep_mask(members: np.ndarray, n_vertices: int, cap: int = 20_000) ->
     p = members.shape[1]
     if n_vertices <= p:
         return np.ones(m, dtype=bool)
-    # vertex -> sorted array of instance ids
-    v2i: dict[int, list] = {}
-    for r in range(m):
-        for v in members[r]:
-            v2i.setdefault(int(v), []).append(r)
-    v2i = {v: np.asarray(a) for v, a in v2i.items()}
-    keep = np.ones(m, dtype=bool)
-    base = m / n_vertices
-    for r in range(m):
-        touched = np.unique(np.concatenate([v2i[int(v)] for v in members[r]]))
-        mu_prime = m - len(touched)
-        if mu_prime / (n_vertices - p) > base:
-            keep[r] = False
-    return keep
+    _, local = np.unique(members, return_inverse=True)
+    local = np.sort(local.reshape(m, p).astype(np.int64), axis=1)
+    n_loc = int(local.max()) + 1
+    touched = np.zeros(m, dtype=np.int64)
+    for k in range(1, p + 1):
+        # every k-subset of every instance, one row each, sorted within
+        sub = local[:, list(combinations(range(p), k))].reshape(-1, k)
+        if n_loc**k <= np.iinfo(np.int64).max:
+            keys = np.zeros(sub.shape[0], dtype=np.int64)
+            for j in range(k):
+                keys = keys * n_loc + sub[:, j]
+            _, inv, cnt = np.unique(keys, return_inverse=True, return_counts=True)
+        else:
+            _, inv, cnt = np.unique(sub, axis=0, return_inverse=True, return_counts=True)
+        containing = cnt[inv.reshape(-1)].reshape(m, -1).sum(axis=1)
+        touched += containing if k % 2 else -containing
+    mu_prime = m - touched
+    return mu_prime * n_vertices <= m * (n_vertices - p)

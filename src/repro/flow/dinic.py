@@ -9,6 +9,12 @@ here; the paper itself treats parallel min-cut as out of scope (§6.3).
 Capacities are floats; ``EPS`` guards comparisons. The densest-subgraph
 binary search only needs cut *sides*, never exact flow values, and the
 stopping-gap 1/(n(n-1)) is many orders above float noise at our sizes.
+
+``cap`` holds residual capacities, and ``max_flow`` augments whatever
+flow they already encode. A caller may therefore warm-start a solve:
+``repro.densest.network.DensityNetwork`` swaps in the residual
+capacities saved at an earlier probe, with some arcs raised, and
+``max_flow`` continues from that flow instead of from zero.
 """
 from __future__ import annotations
 
@@ -89,6 +95,7 @@ class Dinic:
             it[u] += 1
 
     def max_flow(self, s: int, t: int) -> float:
+        """Augment to a maximum s-t flow; return the flow this call added."""
         flow = 0.0
         while self._bfs(s, t):
             self.it = [0] * self.n

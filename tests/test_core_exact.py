@@ -89,6 +89,20 @@ def test_network_shrinks_with_iterations(spark):
     assert max(res.stats["network_sizes"]) < n + res.stats["instances"] + 2
 
 
+def test_network_rebuilt_only_when_vertex_set_shrinks(spark):
+    """Probes between builds reuse one network, so the per-probe sizes
+    change only at a rebuild. Without P1/P2 the search starts low and
+    the component shrinks to a higher core on the way up."""
+    pdf = gen.erdos_renyi_pandas(30, 0.5, seed=1)
+    g = edges_from_pandas(spark, pdf)
+    res = core_exact(spark, g, triangle(), use_p1=False, use_p2=False)
+    sizes = res.stats["network_sizes"]
+    assert len(sizes) == res.stats["iterations"]
+    runs = 1 + sum(a != b for a, b in zip(sizes, sizes[1:]))
+    assert 1 < runs <= res.stats["network_builds"] < res.stats["iterations"]
+    assert res.density == pytest.approx(core_exact(spark, g, triangle()).density, abs=1e-9)
+
+
 def test_timing_breakdown_present(spark):
     pdf = gen.erdos_renyi_pandas(15, 0.3, seed=2)
     g = edges_from_pandas(spark, pdf)

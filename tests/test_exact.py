@@ -85,3 +85,12 @@ def test_exact_reports_stats(spark):
     assert res.stats["iterations"] > 0
     assert res.timings["total"] > 0
     assert res.size == 5
+
+
+def test_exact_builds_one_network(spark):
+    pdf = gen.erdos_renyi_pandas(11, 0.4, seed=0)
+    g = edges_from_pandas(spark, pdf)
+    res = exact_densest(spark, g, triangle())
+    assert res.stats["network_builds"] == 1
+    assert res.stats["iterations"] > 1
+    assert len(res.stats["network_sizes"]) == res.stats["iterations"]
