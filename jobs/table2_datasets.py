@@ -52,7 +52,12 @@ def run(spark: SparkSession, names=None, triangle_stats: bool = True) -> pd.Data
 
 
 def main():  # pragma: no cover - spark-submit entrypoint
-    spark = SparkSession.builder.appName("table2").getOrCreate()
+    spark = (
+        SparkSession.builder.appName("table2")
+        .config("spark.ui.showConsoleProgress", "false")
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .getOrCreate()
+    )
     print(run(spark).to_string(index=False))
     spark.stop()
 

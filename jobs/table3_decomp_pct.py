@@ -60,7 +60,12 @@ def run(
 
 
 def main():  # pragma: no cover
-    spark = SparkSession.builder.appName("table3").getOrCreate()
+    spark = (
+        SparkSession.builder.appName("table3")
+        .config("spark.ui.showConsoleProgress", "false")
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .getOrCreate()
+    )
     print(run(spark, run_exact=True).to_string(index=False))
     spark.stop()
 

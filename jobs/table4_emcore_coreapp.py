@@ -46,7 +46,12 @@ def run(spark: SparkSession, names=None) -> pd.DataFrame:
 
 
 def main():  # pragma: no cover
-    spark = SparkSession.builder.appName("table4").getOrCreate()
+    spark = (
+        SparkSession.builder.appName("table4")
+        .config("spark.ui.showConsoleProgress", "false")
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .getOrCreate()
+    )
     print(run(spark).to_string(index=False))
     spark.stop()
 

@@ -63,7 +63,12 @@ def run(
 
 
 def main():  # pragma: no cover
-    spark = SparkSession.builder.appName("table5").getOrCreate()
+    spark = (
+        SparkSession.builder.appName("table5")
+        .config("spark.ui.showConsoleProgress", "false")
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .getOrCreate()
+    )
     print(run(spark).to_string(index=False))
     spark.stop()
 

@@ -15,6 +15,8 @@ spark = (
     SparkSession.builder.appName("experiments")
     .config("spark.sql.shuffle.partitions", "32")
     .config("spark.sql.autoBroadcastJoinThreshold", -1)
+    .config("spark.ui.showConsoleProgress", "false")
+    .config("spark.sql.execution.arrow.pyspark.enabled", "true")
     .getOrCreate()
 )
 spark.sparkContext.setLogLevel("ERROR")

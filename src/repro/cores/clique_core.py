@@ -17,19 +17,16 @@
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
+from repro.cores.kcore import _HINDEX
 from repro.graph.ops import vertices as graph_vertices
 from repro.patterns.base import Pattern
 from repro.patterns.instances import instances_long, member_cols, pattern_instances
-
-_HINDEX = (
-    "size(filter(transform(sort_array(vals, false), (x, i) -> x >= i + 1), b -> b))"
-)
 
 
 def clique_core(
@@ -148,10 +145,8 @@ class PeelResult:
     order: list  # removal order (all vertices)
     kmax: int
     rho_prime: float  # max density over all residual subgraphs (incl. G)
-    best_density: float  # = rho_prime
     best_vertices: list  # residual subgraph achieving rho_prime (PeelApp's S*)
     n_instances: int
-    densities: list = field(default_factory=list, repr=False)
 
 
 def collect_instances(inst: DataFrame, pattern: Pattern) -> np.ndarray:
@@ -194,7 +189,6 @@ def peel_decompose(members: np.ndarray, all_vertices) -> PeelResult:
 
     core = np.zeros(n, dtype=np.int64)
     order: list = []
-    densities: list = []
     alive_v, alive_i = n, ninst
     best_density = alive_i / alive_v if alive_v else 0.0
     best_alive = alive_v  # remember the residual size achieving the best
@@ -218,7 +212,6 @@ def peel_decompose(members: np.ndarray, all_vertices) -> PeelResult:
                         heapq.heappush(heap, (int(cdeg[j]), j))
         alive_v -= 1
         dens = (alive_i / alive_v) if alive_v else 0.0
-        densities.append(dens)
         if dens > best_density:
             best_density = dens
             best_alive = alive_v
@@ -232,10 +225,8 @@ def peel_decompose(members: np.ndarray, all_vertices) -> PeelResult:
         order=order,
         kmax=kmax,
         rho_prime=best_density,
-        best_density=best_density,
         best_vertices=sorted(best_vertices),
         n_instances=ninst,
-        densities=densities,
     )
 
 

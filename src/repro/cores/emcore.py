@@ -12,6 +12,9 @@ value is the global k_max and its core is the global core; otherwise
 the true k_max is < t and the threshold halves (EMcore's geometric
 top-down bins — each block is decomposed in full before descending,
 which is where its O(k_max (n+m)) vs CoreApp's O(n+m) shows up).
+
+Run in main memory as in the paper: the edge list is collected once, and
+the degrees and every block G[H_t] are array work on the driver.
 """
 from __future__ import annotations
 
@@ -22,21 +25,22 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.cores.kcore import core_numbers_peel, max_core_vertices
-from repro.graph.ops import degrees, induced_subgraph
+from repro.graph.ops import edge_array
 
 
 def kmax_core_emcore(spark: SparkSession, edges: DataFrame) -> tuple:
     """Returns (kmax, core_vertices, info) for classical (edge) cores."""
     t0 = time.perf_counter()
-    deg_pdf = degrees(edges).toPandas()
-    d = int(deg_pdf["deg"].max()) if len(deg_pdf) else 0
+    edge_arr = edge_array(edges)
+    vs, deg = np.unique(edge_arr, return_counts=True)
+    d = int(deg.max()) if len(deg) else 0
     rounds = 0
     t = max(1, d // 2)
     while True:
         rounds += 1
-        hv = deg_pdf.loc[deg_pdf["deg"] >= t, "v"].to_numpy(np.int64)
-        hdf = spark.createDataFrame(pd.DataFrame({"v": hv}))
-        sub_pdf = induced_subgraph(edges, hdf).toPandas()
+        hv = vs[deg >= t]
+        inside = np.isin(edge_arr, hv).all(axis=1)
+        sub_pdf = pd.DataFrame(edge_arr[inside], columns=["src", "dst"])
         core = core_numbers_peel(sub_pdf, all_vertices=hv)
         kmax_h, verts = max_core_vertices(core)
         if kmax_h >= t or t <= 1:

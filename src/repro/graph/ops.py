@@ -7,7 +7,8 @@ arbitrary longs; the vertex set is implicitly the set of edge endpoints
 unless an explicit vertex DataFrame is supplied.
 
 All transformations here are pure DataFrame dataflow (Catalyst); the
-only driver-side helper is the union-find used by tests and by the
+driver-side helpers are the edge collect used by the in-memory top-down
+core searches and the union-find used by tests and by the
 densest-subgraph inner loops once a core has been localized.
 """
 from __future__ import annotations
@@ -23,12 +24,6 @@ def edges_from_pandas(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
     """Create a canonical edge DataFrame from a pandas frame with src/dst."""
     out = pdf[["src", "dst"]].astype("int64")
     return normalize_edges(spark.createDataFrame(out))
-
-
-def edges_from_array(spark: SparkSession, arr: np.ndarray) -> DataFrame:
-    """Create a canonical edge DataFrame from an (m, 2) int array."""
-    pdf = pd.DataFrame({"src": arr[:, 0], "dst": arr[:, 1]})
-    return edges_from_pandas(spark, pdf)
 
 
 def normalize_edges(edges: DataFrame) -> DataFrame:
@@ -121,6 +116,11 @@ def connected_components(edges: DataFrame, max_iter: int = 64) -> DataFrame:
 # ---------------------------------------------------------------------------
 # Driver-side helpers (small, localized subgraphs only).
 # ---------------------------------------------------------------------------
+
+
+def edge_array(edges: DataFrame) -> np.ndarray:
+    """The edge list collected to the driver as an (m, 2) int64 array."""
+    return edges.select("src", "dst").toPandas().to_numpy(dtype=np.int64).reshape(-1, 2)
 
 
 class UnionFind:

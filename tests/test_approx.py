@@ -6,9 +6,11 @@ approximations return the identical (k_max, Psi)-core.
 import pandas as pd
 import pytest
 
+from repro.cores.clique_core import density_of
 from repro.cores.coreapp import kmax_core_coreapp
 from repro.cores.emcore import kmax_core_emcore
 from repro.cores.kcore import core_numbers_peel, max_core_vertices
+from repro.densest.common import gather
 from repro.densest.coreapp_dsd import core_app
 from repro.densest.core_exact import core_exact
 from repro.densest.incapp import inc_app
@@ -134,3 +136,51 @@ def test_approx_results_have_timings(spark):
         assert r.timings["total"] > 0
     r = core_app(spark, g, triangle())
     assert r.timings["total"] > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("pat", PATTERNS, ids=[p.name for p in PATTERNS])
+def test_coreapp_density_matches_recount(spark, seed, pat):
+    """CoreApp's density equals a recount over G's full instance set, both
+    from the default W and from w0=4. A top-8 W holds at most a K8, whose
+    core number is below the planted K12's, so with w0=4 the core is found
+    only in the third round or later."""
+    pdf = gen.compose(
+        gen.clique_pandas(range(12)),
+        gen.chung_lu_pandas(60, 150, alpha=2.4, seed=20 + seed, offset=20),
+    )
+    g = edges_from_pandas(spark, pdf)
+    _, members = gather(spark, g, pat)
+    for w0 in (None, 4):
+        r = core_app(spark, g, pat, w0=w0)
+        assert r.kmax > 0
+        assert r.density == density_of(members, r.vertices)
+    assert r.stats["rounds"] >= 3
+
+
+def test_coreapp_density_without_instances(spark):
+    """Triangle pattern on the triangle-free C6: k_max = 0, the one-vertex
+    fallback is returned and its density is exactly 0."""
+    pdf = pd.DataFrame({"src": [0, 1, 2, 3, 4, 0], "dst": [1, 2, 3, 4, 5, 5]})
+    g = edges_from_pandas(spark, pdf)
+    r = core_app(spark, g, triangle())
+    assert r.kmax == 0
+    assert len(r.vertices) == 1 and r.vertices[0] in range(6)
+    assert r.density == 0.0
+
+
+def test_emcore_multi_round(spark):
+    """A hub of degree 60 sets d; the K6 (k_max = 5) lies below t only once
+    the threshold has halved from 30 down to 3, so EMcore runs >= 3 rounds."""
+    hub = pd.DataFrame({"src": [0] * 60, "dst": range(100, 160)})
+    pdf = gen.compose(
+        hub,
+        gen.clique_pandas(range(1, 7)),
+        gen.chung_lu_pandas(80, 120, alpha=2.6, seed=4, offset=200),
+    )
+    g = edges_from_pandas(spark, pdf)
+    kmax, verts, info = kmax_core_emcore(spark, g)
+    want_k, want_v = max_core_vertices(core_numbers_peel(pdf))
+    assert info["rounds"] >= 3
+    assert kmax == want_k
+    assert sorted(verts) == want_v
