@@ -11,9 +11,12 @@ stopping criterion makes the final core globally correct: any vertex
 of the true (k_max,Psi)-core has clique-degree >= k_max, hence
 gamma >= k_max, hence is inside the final W.
 
-For the edge pattern the instances are the edges, so the edge list is
-collected once and the ranking and every round's G[W] are array work on
-the driver; other patterns enumerate Psi on Spark in every round.
+For clique patterns the edge list is collected once and every round is
+array work on the driver: an ``np.isin`` mask selects G[W]'s edges and
+``clique_members`` lists its h-cliques (for h=2 the edges themselves).
+The ranking is the degree for h=2, read off the same edge array, and
+comes from ``gamma_upper_bounds`` for h>=3. Other patterns enumerate Psi
+on Spark in every round.
 """
 from __future__ import annotations
 
@@ -23,6 +26,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
+from repro.cliques.enumerate import clique_members
 from repro.cores.clique_core import collect_instances, instances_inside, peel_decompose
 from repro.cores.kcore import gamma_upper_bounds
 from repro.graph.ops import edge_array, induced_subgraph, vertices as graph_vertices
@@ -38,9 +42,10 @@ def kmax_core_coreapp(
 ) -> tuple:
     """Returns (kmax, core_vertices, info) — the (k_max, Psi)-core of G."""
     t0 = time.perf_counter()
-    edge_pattern = pattern.kind == "clique" and pattern.h == 2
-    if edge_pattern:
+    on_driver = pattern.kind == "clique"
+    if on_driver:
         edge_arr = edge_array(edges)
+    if on_driver and pattern.h == 2:
         vs, deg = np.unique(edge_arr, return_counts=True)
         rank = np.lexsort((vs, -deg))  # gamma desc, then v asc
         order, gammas = vs[rank], deg[rank].astype(np.float64)
@@ -57,9 +62,9 @@ def kmax_core_coreapp(
     while True:
         rounds += 1
         W = order[:w]
-        if edge_pattern:
-            # the instances ARE the edges of G[W]
-            members = edge_arr[np.isin(edge_arr, W).all(axis=1)]
+        if on_driver:
+            sub = edge_arr[np.isin(edge_arr, W).all(axis=1)]
+            members = clique_members(sub, pattern.h)
         else:
             wdf = spark.createDataFrame(pd.DataFrame({"v": W}))
             sub = induced_subgraph(edges, wdf).localCheckpoint(eager=True)
@@ -81,6 +86,8 @@ def kmax_core_coreapp(
         "rounds": rounds,
         "final_w": int(w),
         "n": n,
+        # smallest vertex id: the one-vertex answer when k_max = 0
+        "min_vertex": int(order.min()) if n else None,
         "core_instances": core_instances,
         "t_rank": t_rank,
         "t_total": time.perf_counter() - t0,

@@ -7,7 +7,7 @@ import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.cores.clique_core import collect_instances, density_of
-from repro.graph.ops import vertices as graph_vertices
+from repro.graph.ops import edge_array
 from repro.patterns.base import Pattern
 from repro.patterns.instances import pattern_instances
 
@@ -34,12 +34,20 @@ def gather(
     edges: DataFrame,
     pattern: Pattern,
     inst: DataFrame | None = None,
+    edge_arr: np.ndarray | None = None,
 ) -> tuple:
-    """(all_vertex_ids, member_matrix) — the driver-side problem instance."""
+    """(all_vertex_ids, member_matrix) — the driver-side problem instance.
+
+    The vertex ids are sorted ascending, read off the edge array (pass
+    ``edge_arr`` when the caller already collected it). The instances are
+    enumerated on Spark unless ``inst`` is given, and collected once.
+    """
     if inst is None:
         inst = pattern_instances(spark, edges, pattern)
     members = collect_instances(inst, pattern)
-    allv = [int(r["v"]) for r in graph_vertices(edges).collect()]
+    if edge_arr is None:
+        edge_arr = edge_array(edges)
+    allv = np.unique(edge_arr).tolist()
     return allv, members
 
 

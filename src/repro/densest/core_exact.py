@@ -36,7 +36,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.cores.clique_core import instances_inside, peel_decompose
 from repro.densest.common import DSDResult, exact_density, gather
 from repro.densest.network import build_network, lemma8_keep_mask, min_cut_vertices
-from repro.graph.ops import components_pandas
+from repro.graph.ops import components_pandas, edge_array
 from repro.patterns.base import Pattern
 
 
@@ -61,8 +61,9 @@ def core_exact(
         grouped = pattern.kind not in ("clique",)
     p = pattern.nv
 
-    allv, members = gather(spark, edges, pattern, inst)
-    edge_pdf = edges.toPandas()  # CoreExact targets small/moderate graphs (§8 remark)
+    # CoreExact targets small/moderate graphs (§8 remark)
+    edge_arr = edge_array(edges)
+    allv, members = gather(spark, edges, pattern, inst, edge_arr=edge_arr)
     t_enum = time.perf_counter() - t_start
 
     t1 = time.perf_counter()
@@ -90,8 +91,7 @@ def core_exact(
         )
 
     core_map = pr.core
-    esrc = edge_pdf["src"].to_numpy(np.int64)
-    edst = edge_pdf["dst"].to_numpy(np.int64)
+    esrc, edst = edge_arr[:, 0], edge_arr[:, 1]
 
     def core_vertices(k: int) -> set:
         return {v for v, c in core_map.items() if c >= k}

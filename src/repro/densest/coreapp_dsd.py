@@ -10,7 +10,6 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.cores.coreapp import kmax_core_coreapp
 from repro.densest.common import DSDResult
-from repro.graph.ops import vertices as graph_vertices
 from repro.patterns.base import Pattern
 # unused here, but the benchmark tracer wraps this import site by name
 from repro.patterns.instances import pattern_instances  # noqa: F401
@@ -22,8 +21,8 @@ def core_app(
     t0 = time.perf_counter()
     kmax, verts, info = kmax_core_coreapp(spark, edges, pattern, w0=w0)
     t_core = time.perf_counter() - t0
-    if not verts:
-        verts = [int(r["v"]) for r in graph_vertices(edges).limit(1).collect()]
+    if not verts and info["n"]:
+        verts = [info["min_vertex"]]
     # exact density of the returned core: its instances were counted inside
     # the round's G[W] (none when k_max = 0, where the fallback is returned)
     dens = info["core_instances"] / len(verts) if verts else 0.0

@@ -13,6 +13,7 @@ from repro.cores.kcore import core_numbers_peel, max_core_vertices
 from repro.densest.common import gather
 from repro.densest.coreapp_dsd import core_app
 from repro.densest.core_exact import core_exact
+from repro.densest.exact import exact_densest
 from repro.densest.incapp import inc_app
 from repro.densest.nucleus import nucleus_app
 from repro.densest.peel import peel_app
@@ -138,13 +139,17 @@ def test_approx_results_have_timings(spark):
     assert r.timings["total"] > 0
 
 
+RECOUNT_PATTERNS = PATTERNS + [clique(4)]
+
+
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("pat", PATTERNS, ids=[p.name for p in PATTERNS])
+@pytest.mark.parametrize("pat", RECOUNT_PATTERNS, ids=[p.name for p in RECOUNT_PATTERNS])
 def test_coreapp_density_matches_recount(spark, seed, pat):
     """CoreApp's density equals a recount over G's full instance set, both
     from the default W and from w0=4. A top-8 W holds at most a K8, whose
     core number is below the planted K12's, so with w0=4 the core is found
-    only in the third round or later."""
+    only in the third round or later; that multi-round answer must be
+    IncApp's, which peels the whole graph."""
     pdf = gen.compose(
         gen.clique_pandas(range(12)),
         gen.chung_lu_pandas(60, 150, alpha=2.4, seed=20 + seed, offset=20),
@@ -156,17 +161,23 @@ def test_coreapp_density_matches_recount(spark, seed, pat):
         assert r.kmax > 0
         assert r.density == density_of(members, r.vertices)
     assert r.stats["rounds"] >= 3
+    full = inc_app(spark, g, pat)
+    assert (r.kmax, r.vertices) == (full.kmax, full.vertices)
 
 
 def test_coreapp_density_without_instances(spark):
     """Triangle pattern on the triangle-free C6: k_max = 0, the one-vertex
-    fallback is returned and its density is exactly 0."""
+    fallback is returned and its density is exactly 0. That vertex is the
+    smallest id, for CoreApp and for the algorithms that share its
+    fallback, whatever order Spark lists the vertices in."""
     pdf = pd.DataFrame({"src": [0, 1, 2, 3, 4, 0], "dst": [1, 2, 3, 4, 5, 5]})
     g = edges_from_pandas(spark, pdf)
     r = core_app(spark, g, triangle())
     assert r.kmax == 0
-    assert len(r.vertices) == 1 and r.vertices[0] in range(6)
+    assert r.vertices == [0]
     assert r.density == 0.0
+    assert exact_densest(spark, g, triangle()).vertices == [0]
+    assert inc_app(spark, g, triangle()).vertices == [0]
 
 
 def test_emcore_multi_round(spark):

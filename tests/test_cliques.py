@@ -2,6 +2,7 @@
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -9,13 +10,39 @@ from pyspark.sql import functions as F
 from repro.cliques.enumerate import (
     clique_degrees,
     clique_instances,
+    clique_members,
     count_instances,
     instances_long,
     oriented_edges,
 )
 from repro.graph import generators as gen
-from repro.graph.ops import edges_from_pandas
+from repro.graph.ops import edge_array, edges_from_pandas
 from repro.oracle import assert_equivalent
+
+# The Spark plan keeps each case's original test id; the driver lister
+# runs the same case as ``driver-<h>``.
+LISTERS = ("spark", "driver")
+
+
+def lister_cases(hs):
+    return [
+        pytest.param(h, lister, id=str(h) if lister == "spark" else f"driver-{h}")
+        for lister in LISTERS
+        for h in hs
+    ]
+
+
+def list_cliques(spark, g, h: int, lister: str) -> np.ndarray:
+    """(count, h) member matrix of g's h-cliques from either lister."""
+    if lister == "driver":
+        return clique_members(edge_array(g), h)
+    return clique_instances(spark, g, h).toPandas().to_numpy(dtype=np.int64).reshape(-1, h)
+
+
+def count_cliques(spark, g, h: int, lister: str) -> int:
+    if lister == "driver":
+        return len(clique_members(edge_array(g), h))
+    return count_instances(spark, g, h)
 
 
 def brute_cliques(pdf: pd.DataFrame, h: int):
@@ -54,22 +81,24 @@ def test_oriented_edges_acyclic_rank(rand_graph):
         assert (deg[r["a"]], r["a"]) < (deg[r["b"]], r["b"])
 
 
-@pytest.mark.parametrize("h", [2, 3, 4, 5, 6, 7])
-def test_clique_counts_on_k7(spark, k7, h):
+@pytest.mark.parametrize("h,lister", lister_cases([2, 3, 4, 5, 6, 7]))
+def test_clique_counts_on_k7(spark, k7, h, lister):
     g, _ = k7
-    assert count_instances(spark, g, h) == comb(7, h)
+    assert count_cliques(spark, g, h, lister) == comb(7, h)
 
 
 def test_no_triangles_in_bipartite(spark):
     g = edges_from_pandas(spark, gen.biclique_pandas(range(5), range(5, 11)))
-    assert count_instances(spark, g, 3) == 0
+    for lister in LISTERS:
+        assert count_cliques(spark, g, 3, lister) == 0
 
 
 def test_path_graph_has_only_edges(spark):
     pdf = pd.DataFrame({"src": [0, 1, 2, 3], "dst": [1, 2, 3, 4]})
     g = edges_from_pandas(spark, pdf)
-    assert count_instances(spark, g, 2) == 4
-    assert count_instances(spark, g, 3) == 0
+    for lister in LISTERS:
+        assert count_cliques(spark, g, 2, lister) == 4
+        assert count_cliques(spark, g, 3, lister) == 0
 
 
 def test_h1_is_vertices(spark, rand_graph):
@@ -87,13 +116,34 @@ def test_h2_is_edges(spark, rand_graph):
     assert {frozenset(t) for t in got} == want
 
 
-@pytest.mark.parametrize("h", [3, 4, 5])
-def test_clique_instances_vs_bruteforce(spark, rand_graph, h):
+@pytest.mark.parametrize("h,lister", lister_cases([3, 4, 5]))
+def test_clique_instances_vs_bruteforce(spark, rand_graph, h, lister):
     g, pdf = rand_graph
-    got = clique_instances(spark, g, h).toPandas()
-    got_sets = {frozenset(r) for r in got.to_numpy()}
+    got = list_cliques(spark, g, h, lister)
+    got_sets = {frozenset(r) for r in got}
     want_sets = {frozenset(c) for c in brute_cliques(pdf, h)}
     assert got_sets == want_sets
+    assert len(got_sets) == len(got)  # no clique listed twice
+
+
+@pytest.mark.parametrize("h", [2, 3, 5])
+def test_driver_cliques_of_empty_edge_array(h):
+    got = clique_members(np.empty((0, 2), dtype=np.int64), h)
+    assert got.shape == (0, h) and got.dtype == np.int64
+
+
+@pytest.mark.parametrize("h", [3, 4, 5])
+def test_driver_cliques_with_ids_beyond_int32(rand_graph, h):
+    """Ids offset by 2^40 give the same cliques, shifted: the lister works
+    in rank space, so its edge keys never see the raw ids."""
+    _, pdf = rand_graph
+    arr = pdf[["src", "dst"]].to_numpy(dtype=np.int64)
+    off = 1 << 40
+    got = clique_members(arr + off, h)
+    assert {frozenset(r) for r in got} == {
+        frozenset(v + off for v in c) for c in brute_cliques(pdf, h)
+    }
+    assert np.array_equal(got, clique_members(arr, h) + off)
 
 
 @pytest.mark.parametrize("h", [3, 4])
