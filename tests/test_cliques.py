@@ -41,7 +41,7 @@ def list_cliques(spark, g, h: int, lister: str) -> np.ndarray:
 
 def count_cliques(spark, g, h: int, lister: str) -> int:
     if lister == "driver":
-        return len(clique_members(edge_array(g), h))
+        return len(list_cliques(spark, g, h, lister))
     return count_instances(spark, g, h)
 
 
