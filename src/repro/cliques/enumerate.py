@@ -118,31 +118,3 @@ def clique_members(edge_arr: np.ndarray, h: int) -> np.ndarray:
         cur = np.concatenate([cur, nxt[:, None]], axis=1)
     return vs[by_rank[cur]]
 
-
-def instances_long(instances: DataFrame) -> DataFrame:
-    """(iid, v) long form of an instance DataFrame with columns v1..vh.
-
-    iid is a deterministic 64-bit hash of the member tuple — stable
-    across partitions, unique with overwhelming probability at the
-    scales used here (xxhash64 over the sorted member array).
-    """
-    cols = [c for c in instances.columns if c.startswith("v")]
-    with_id = instances.withColumn("iid", F.xxhash64(*cols))
-    stacked = with_id.select(
-        "iid", F.explode(F.array(*cols)).alias("v")
-    )
-    return stacked
-
-
-def clique_degrees(spark: SparkSession, edges: DataFrame, h: int) -> DataFrame:
-    """Clique-degree deg_G(v, Psi) per vertex — columns (v, cdeg).
-
-    Vertices in no h-clique are absent (treat as 0).
-    """
-    inst = clique_instances(spark, edges, h)
-    return instances_long(inst).groupBy("v").agg(F.count("*").alias("cdeg"))
-
-
-def count_instances(spark: SparkSession, edges: DataFrame, h: int) -> int:
-    """mu(G, Psi) for Psi = h-clique."""
-    return clique_instances(spark, edges, h).count()

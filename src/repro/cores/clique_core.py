@@ -13,6 +13,9 @@
 * ``peel_decompose``             — exact driver-side peeling (Algorithm 3),
   also producing everything CoreExact/PeelApp need: peel order, residual
   densities (rho'), best residual prefix, kmax.
+
+The two Spark loops take any pattern, so with Psi = edge (Def. 6 reduces to
+Def. 5) they are also the classical k-core and core numbers.
 """
 from __future__ import annotations
 
@@ -23,10 +26,14 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
-from repro.cores.kcore import _HINDEX
 from repro.graph.ops import vertices as graph_vertices
 from repro.patterns.base import Pattern
 from repro.patterns.instances import instances_long, member_cols, pattern_instances
+
+# h-index of an array column named ``vals`` (sorted desc, count prefix x>=rank)
+_HINDEX = (
+    "size(filter(transform(sort_array(vals, false), (x, i) -> x >= i + 1), b -> b))"
+)
 
 
 def clique_core(

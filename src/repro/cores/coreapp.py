@@ -11,12 +11,12 @@ stopping criterion makes the final core globally correct: any vertex
 of the true (k_max,Psi)-core has clique-degree >= k_max, hence
 gamma >= k_max, hence is inside the final W.
 
-For clique patterns the edge list is collected once and every round is
-array work on the driver: an ``np.isin`` mask selects G[W]'s edges and
+For clique patterns the edge list is collected once and everything
+after it is array work on the driver: ``gamma_upper_bounds`` ranks the
+vertices off the edge array, an ``np.isin`` mask selects G[W]'s edges and
 ``clique_members`` lists its h-cliques (for h=2 the edges themselves).
-The ranking is the degree for h=2, read off the same edge array, and
-comes from ``gamma_upper_bounds`` for h>=3. Other patterns enumerate Psi
-on Spark in every round.
+Other patterns rank by pattern degree and enumerate Psi on Spark in every
+round.
 """
 from __future__ import annotations
 
@@ -45,12 +45,11 @@ def kmax_core_coreapp(
     on_driver = pattern.kind == "clique"
     if on_driver:
         edge_arr = edge_array(edges)
-    if on_driver and pattern.h == 2:
-        vs, deg = np.unique(edge_arr, return_counts=True)
-        rank = np.lexsort((vs, -deg))  # gamma desc, then v asc
-        order, gammas = vs[rank], deg[rank].astype(np.float64)
+        vs, gamma = gamma_upper_bounds(edge_arr, pattern.h)
     else:
-        order, gammas = _rank_on_spark(spark, edges, pattern)
+        vs, gamma = _pattern_gamma(spark, edges, pattern)
+    rank = np.lexsort((vs, -gamma))  # gamma desc, then v asc
+    order, gammas = vs[rank], gamma[rank]
     n = len(order)
     t_rank = time.perf_counter() - t0
 
@@ -95,19 +94,12 @@ def kmax_core_coreapp(
     return kmax, core_verts, info
 
 
-def _rank_on_spark(spark: SparkSession, edges: DataFrame, pattern: Pattern) -> tuple:
-    """(vertices, gamma) of every vertex, sorted by gamma desc then v asc."""
-    if pattern.kind == "clique":
-        gdf = gamma_upper_bounds(edges, pattern.h)
-    else:
-        gdf = pattern_degrees(spark, edges, pattern).select(
-            "v", F.col("cdeg").cast("double").alias("gamma")
-        )
+def _pattern_gamma(spark: SparkSession, edges: DataFrame, pattern: Pattern) -> tuple:
+    """(vertices, gamma) of every vertex: its exact pattern degree, 0 if none."""
     gpdf = (
         graph_vertices(edges)
-        .join(gdf, "v", "left")
-        .select("v", F.coalesce("gamma", F.lit(0.0)).alias("gamma"))
+        .join(pattern_degrees(spark, edges, pattern), "v", "left")
+        .select("v", F.coalesce("cdeg", F.lit(0)).cast("double").alias("gamma"))
         .toPandas()
-        .sort_values(["gamma", "v"], ascending=[False, True])
     )
     return gpdf["v"].to_numpy(np.int64), gpdf["gamma"].to_numpy(np.float64)

@@ -1,17 +1,15 @@
-"""Classical k-core machinery (Def. 5).
+"""Classical k-core helpers on the driver (Def. 5).
 
-Three entry points:
+The Spark k-core is the (k, Psi)-core code with Psi = edge:
+``clique_core(spark, g, k, edge())`` is the fixed-k k-core and
+``clique_core_numbers_hindex(spark, g, edge())`` the distributed h-index
+fixpoint of Montresor et al. [36] / Lü et al. [34]. This module keeps the
+driver-side pieces:
 
-* ``k_core``            — the k-core subgraph for a fixed k, computed by the
-  textbook iterative-pruning loop expressed as Spark dataflow (each round:
-  degree aggregate + anti-join of under-degree vertices).
-* ``core_numbers``      — core numbers of *all* vertices via the distributed
-  h-index fixpoint (Montresor et al. [36] / Lü et al. [34]): iterate
-  ``est(v) <- min(est(v), H({est(u) : u in N(v)}))`` from ``est = deg``;
-  the fixpoint is exactly the coreness. Pure DataFrame ops — the h-index is
-  a higher-order array aggregate, no Python UDFs.
-* ``core_numbers_peel`` — exact driver-side bin/heap peeling (Batagelj-
-  Zaversnik [7]); the test oracle and the small-subgraph inner loop.
+* ``core_numbers_peel``  — exact bin/heap peeling (Batagelj-Zaversnik [7]);
+  EMcore's inner loop and the test oracle.
+* ``max_core_vertices``  — the k_max-core read off a core-number map.
+* ``gamma_upper_bounds`` — CoreApp's ranking bound for clique patterns.
 """
 from __future__ import annotations
 
@@ -19,62 +17,6 @@ import heapq
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, functions as F
-
-from repro.graph.ops import degrees, symmetrize, vertices
-
-# h-index of an array column named ``vals`` (sorted desc, count prefix x>=rank)
-_HINDEX = (
-    "size(filter(transform(sort_array(vals, false), (x, i) -> x >= i + 1), b -> b))"
-)
-
-
-def k_core(edges: DataFrame, k: int, max_iter: int = 10_000) -> DataFrame:
-    """Edges of the k-core of G (empty DataFrame if no k-core exists)."""
-    cur = edges.localCheckpoint(eager=True)
-    for _ in range(max_iter):
-        deg = degrees(cur)
-        bad = deg.where(F.col("deg") < k).select("v")
-        if bad.limit(1).count() == 0:
-            return cur
-        keep = deg.where(F.col("deg") >= k).select("v")
-        cur = (
-            cur.join(keep.withColumnRenamed("v", "src"), "src", "left_semi")
-            .join(keep.withColumnRenamed("v", "dst"), "dst", "left_semi")
-            .select("src", "dst")
-            .localCheckpoint(eager=True)
-        )
-    raise RuntimeError("k_core did not converge")  # pragma: no cover
-
-
-def core_numbers(edges: DataFrame, max_iter: int = 10_000) -> DataFrame:
-    """Core number per vertex — columns (v, core) — via h-index fixpoint."""
-    sym = symmetrize(edges).localCheckpoint(eager=True)
-    est = degrees(edges).withColumnRenamed("deg", "est").localCheckpoint(eager=True)
-    for _ in range(max_iter):
-        nbr = (
-            sym.join(
-                est.select(F.col("v").alias("u"), F.col("est").alias("nbr_est")), "u"
-            )
-            .groupBy("v")
-            .agg(F.collect_list("nbr_est").alias("vals"))
-        )
-        new = (
-            est.join(nbr, "v")
-            .select("v", F.least("est", F.expr(_HINDEX)).alias("est"))
-            .localCheckpoint(eager=True)
-        )
-        changed = (
-            new.alias("n")
-            .join(est.alias("o"), "v")
-            .where(F.col("n.est") != F.col("o.est"))
-            .limit(1)
-            .count()
-        )
-        est = new
-        if changed == 0:
-            return est.withColumnRenamed("est", "core")
-    raise RuntimeError("core_numbers did not converge")  # pragma: no cover
 
 
 def core_numbers_peel(edge_pdf: pd.DataFrame, all_vertices=None) -> dict:
@@ -116,12 +58,16 @@ def max_core_vertices(core: dict) -> tuple:
     return kmax, sorted(v for v, c in core.items() if c == kmax)
 
 
-def gamma_upper_bounds(edges: DataFrame, h: int) -> DataFrame:
-    """CoreApp's gamma(v) ranking bound — columns (v, gamma).
+def gamma_upper_bounds(edge_arr: np.ndarray, h: int) -> tuple:
+    """CoreApp's gamma(v) ranking bound for the h-clique — (vertices, gamma).
 
-    h=2: the degree. h>=3: gamma(v) = C(core(v), h-1) from a classical
-    core decomposition, per Algorithm 6. Note a subtlety the paper's
-    prose glosses over: this is NOT an upper bound on the clique-degree
+    ``edge_arr`` is the (m, 2) edge array; both outputs are aligned arrays
+    over its sorted distinct endpoints. h=2: the degree. h>=3:
+    gamma(v) = C(core(v), h-1) from a classical core decomposition, per
+    Algorithm 6.
+
+    Note a subtlety the paper's prose glosses over: this is NOT an upper
+    bound on the clique-degree
     deg_G(v, Psi) (a low-coreness vertex can sit in many cliques'
     worth of neighbour edges) — but it IS an upper bound on the
     clique-CORE number core_G(v, Psi): inside the (c,Psi)-core every
@@ -132,20 +78,18 @@ def gamma_upper_bounds(edges: DataFrame, h: int) -> DataFrame:
     k_max"), so Algorithm 6 is correct with this gamma. Tested in
     test_kcore.py::test_gamma_upper_bounds_h3_dominates_clique_core.
 
-    Layering: gamma is a one-shot preprocessing *ranking* for CoreApp,
-    so the classical core numbers behind it come from the linear-time
-    driver peel ([7], as the paper does); the distributed h-index
-    fixpoint (``core_numbers``) remains the dataflow path used by the
-    Nucleus baseline and the k-core API.
+    Layering: gamma is a one-shot preprocessing *ranking* over the edge
+    array CoreApp already holds, so the classical core numbers behind it
+    come from the linear-time driver peel ([7], as the paper does). The
+    distributed h-index fixpoint (``clique_core_numbers_hindex``) is the
+    dataflow path of the Nucleus baseline.
     """
+    vs, deg = np.unique(edge_arr, return_counts=True)
     if h == 2:
-        return degrees(edges).select("v", F.col("deg").cast("double").alias("gamma"))
-    core = core_numbers_peel(edges.toPandas())
-    pdf = pd.DataFrame({"v": list(core), "core": list(core.values())})
-    x = pdf["core"].to_numpy(np.float64)
+        return vs, deg.astype(np.float64)
+    core = core_numbers_peel(pd.DataFrame(edge_arr, columns=["src", "dst"]))
+    x = np.array([core[int(v)] for v in vs], dtype=np.float64)
     g = np.ones_like(x)
     for i in range(h - 1):
         g = g * np.maximum(x - i, 0.0) / (i + 1)
-    out = pd.DataFrame({"v": pdf["v"], "gamma": g})
-    spark = edges.sparkSession
-    return spark.createDataFrame(out)
+    return vs, g

@@ -1,19 +1,16 @@
 """Synthetic graph generators (deterministic in ``seed``).
 
-All generators return a canonical pandas edge frame (src < dst, simple)
-via ``*_pandas`` and a Spark DataFrame via the same-named wrapper. The
-pandas layer exists so the named dataset stand-ins (``datasets.py``)
-can compose pieces (power-law background + embedded dense blobs) before
-a single ``createDataFrame`` call — generation is not the system under
-test, the Spark algorithms are.
+All generators return a canonical pandas edge frame (src < dst, simple);
+``repro.graph.ops.edges_from_pandas`` turns one into a Spark edge
+DataFrame. Staying in pandas lets the named dataset stand-ins
+(``datasets.py``) compose pieces (power-law background + embedded dense
+blobs) before a single ``createDataFrame`` call — generation is not the
+system under test, the Spark algorithms are.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-
-from repro.graph.ops import edges_from_pandas
 
 
 def _canon(src: np.ndarray, dst: np.ndarray) -> pd.DataFrame:
@@ -138,21 +135,3 @@ def compose(*frames: pd.DataFrame) -> pd.DataFrame:
     pdf = pd.concat(frames, ignore_index=True)
     return _canon(pdf["src"].to_numpy(np.int64), pdf["dst"].to_numpy(np.int64))
 
-
-# Spark wrappers -------------------------------------------------------------
-
-
-def erdos_renyi(spark: SparkSession, n: int, p: float, seed: int = 0) -> DataFrame:
-    return edges_from_pandas(spark, erdos_renyi_pandas(n, p, seed))
-
-
-def chung_lu(spark: SparkSession, n: int, m: int, alpha: float = 2.5, seed: int = 0) -> DataFrame:
-    return edges_from_pandas(spark, chung_lu_pandas(n, m, alpha, seed))
-
-
-def rmat(spark: SparkSession, n_log2: int, m: int, seed: int = 0) -> DataFrame:
-    return edges_from_pandas(spark, rmat_pandas(n_log2, m, seed))
-
-
-def ssca(spark: SparkSession, n: int, max_clique: int, seed: int = 0) -> DataFrame:
-    return edges_from_pandas(spark, ssca_pandas(n, max_clique, seed))

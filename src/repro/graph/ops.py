@@ -8,8 +8,8 @@ unless an explicit vertex DataFrame is supplied.
 
 All transformations here are pure DataFrame dataflow (Catalyst); the
 driver-side helpers are the edge collect used by the in-memory top-down
-core searches and the union-find used by tests and by the
-densest-subgraph inner loops once a core has been localized.
+core searches and the union-find connected components that CoreExact
+and Table 2 run once a graph or core is on the driver.
 """
 from __future__ import annotations
 
@@ -67,50 +67,6 @@ def induced_subgraph(edges: DataFrame, verts: DataFrame) -> DataFrame:
     return edges.join(v1, "src", "left_semi").join(v2, "dst", "left_semi").select(
         "src", "dst"
     )
-
-
-def num_vertices(edges: DataFrame) -> int:
-    return vertices(edges).count()
-
-
-def num_edges(edges: DataFrame) -> int:
-    return edges.count()
-
-
-def connected_components(edges: DataFrame, max_iter: int = 64) -> DataFrame:
-    """Hash-min label propagation — columns (v, comp).
-
-    comp(v) converges to the minimum vertex id of v's component. Each
-    round is a join+groupBy; ``localCheckpoint`` bounds plan growth.
-    Isolated vertices never appear (the graph is edge-defined).
-    """
-    sym = symmetrize(edges).localCheckpoint(eager=True)
-    comp = vertices(edges).withColumn("comp", F.col("v"))
-    for _ in range(max_iter):
-        nbr_min = (
-            sym.join(comp.withColumnRenamed("v", "u"), "u")
-            .groupBy("v")
-            .agg(F.min("comp").alias("nbr_comp"))
-        )
-        new = (
-            comp.join(nbr_min, "v", "left")
-            .select(
-                "v",
-                F.least("comp", F.coalesce("nbr_comp", "comp")).alias("comp"),
-            )
-            .localCheckpoint(eager=True)
-        )
-        changed = (
-            new.alias("n")
-            .join(comp.alias("o"), "v")
-            .where(F.col("n.comp") != F.col("o.comp"))
-            .limit(1)
-            .count()
-        )
-        comp = new
-        if changed == 0:
-            break
-    return comp
 
 
 # ---------------------------------------------------------------------------

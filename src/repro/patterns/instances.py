@@ -20,8 +20,6 @@ from repro.cliques.enumerate import clique_instances
 from repro.graph.ops import symmetrize
 from repro.patterns.base import Pattern
 
-_ENC = 1 << 32  # edge id = min * 2^32 + max (vertex ids < 2^31 here)
-
 
 def _with_iid(df: DataFrame, cols) -> DataFrame:
     return df.withColumn("iid", F.xxhash64(*cols)).select("iid", *cols)
@@ -151,10 +149,12 @@ def _generic_inst(spark: SparkSession, edges: DataFrame, pattern: Pattern) -> Da
         for j in range(k):
             cur = cur.where(F.col(f"m{j}") != F.col(f"m{k}"))
         cur = cur.localCheckpoint(eager=True)
-    # canonical edge-set identity
+    # canonical edge-set identity: the sorted (min, max) endpoint pairs
     eid = [
-        F.least(f"m{pos[a]}", f"m{pos[b]}") * F.lit(_ENC)
-        + F.greatest(f"m{pos[a]}", f"m{pos[b]}")
+        F.struct(
+            F.least(f"m{pos[a]}", f"m{pos[b]}").alias("lo"),
+            F.greatest(f"m{pos[a]}", f"m{pos[b]}").alias("hi"),
+        )
         for a, b in pattern.pattern_edges
     ]
     cur = cur.withColumn("ekey", F.sort_array(F.array(*eid)))

@@ -103,6 +103,8 @@ def test_coreapp_triangle_on_embedded_clique(spark):
     # K7: each vertex in C(6,2)=15 triangles
     assert kmax >= 15
     assert set(range(7)) <= set(verts)
+    # gamma ranks K7 first, so the rounds stop before W covers the graph
+    assert info["final_w"] < info["n"]
 
 
 def test_coreapp_stopping_criterion_small_w0(spark):
@@ -112,9 +114,10 @@ def test_coreapp_stopping_criterion_small_w0(spark):
         gen.chung_lu_pandas(100, 260, alpha=2.4, seed=9, offset=10),
     )
     g = edges_from_pandas(spark, pdf)
-    k_small, v_small, _ = kmax_core_coreapp(spark, g, edge(), w0=4)
+    k_small, v_small, info = kmax_core_coreapp(spark, g, edge(), w0=4)
     k_ref, v_ref = max_core_vertices(core_numbers_peel(g.toPandas()))
     assert k_small == k_ref and v_small == v_ref
+    assert info["final_w"] < info["n"]
 
 
 def test_peelapp_returns_best_residual(spark):

@@ -7,17 +7,17 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.cliques.enumerate import (
-    clique_degrees,
-    clique_instances,
-    clique_members,
-    count_instances,
-    instances_long,
-    oriented_edges,
-)
+from repro.cliques.enumerate import clique_instances, clique_members, oriented_edges
 from repro.graph import generators as gen
 from repro.graph.ops import edge_array, edges_from_pandas
 from repro.oracle import assert_equivalent
+from repro.patterns import clique
+from repro.patterns.instances import (
+    count_pattern,
+    instances_long,
+    pattern_degrees,
+    pattern_instances,
+)
 
 # The Spark plan keeps each case's original test id; the driver lister
 # runs the same case as ``driver-<h>``.
@@ -42,7 +42,7 @@ def list_cliques(spark, g, h: int, lister: str) -> np.ndarray:
 def count_cliques(spark, g, h: int, lister: str) -> int:
     if lister == "driver":
         return len(list_cliques(spark, g, h, lister))
-    return count_instances(spark, g, h)
+    return count_pattern(spark, g, clique(h))
 
 
 def brute_cliques(pdf: pd.DataFrame, h: int):
@@ -149,7 +149,7 @@ def test_driver_cliques_with_ids_beyond_int32(rand_graph, h):
 @pytest.mark.parametrize("h", [3, 4])
 def test_clique_degrees_vs_bruteforce(spark, rand_graph, h):
     g, pdf = rand_graph
-    got = {r["v"]: r["cdeg"] for r in clique_degrees(spark, g, h).collect()}
+    got = {r["v"]: r["cdeg"] for r in pattern_degrees(spark, g, clique(h)).collect()}
     want = {}
     for c in brute_cliques(pdf, h):
         for v in c:
@@ -171,8 +171,8 @@ def test_triangle_count_oracle(spark, rand_graph):
 
 def test_instances_long_shape(spark, rand_graph):
     g, _ = rand_graph
-    inst = clique_instances(spark, g, 3)
-    long = instances_long(inst)
+    inst = pattern_instances(spark, g, clique(3))
+    long = instances_long(inst, clique(3))
     assert long.count() == 3 * inst.count()
     assert long.select("iid").distinct().count() == inst.count()
 
@@ -182,4 +182,4 @@ def test_embedded_clique_dominates(spark):
         gen.clique_pandas(range(10)), gen.erdos_renyi_pandas(50, 0.05, seed=1, offset=20)
     )
     g = edges_from_pandas(spark, pdf)
-    assert count_instances(spark, g, 5) >= comb(10, 5)
+    assert count_pattern(spark, g, clique(5)) >= comb(10, 5)

@@ -6,6 +6,7 @@ import pandas as pd
 import pytest
 
 from repro.graph import generators as gen
+from repro.graph.ops import edges_from_pandas
 
 
 def _is_canonical(pdf: pd.DataFrame) -> bool:
@@ -98,8 +99,9 @@ def test_compose_dedupes():
 
 
 def test_spark_wrappers(spark):
-    g = gen.erdos_renyi(spark, 30, 0.2, seed=9)
+    """Generated frames reach Spark through ``edges_from_pandas``."""
+    g = edges_from_pandas(spark, gen.erdos_renyi_pandas(30, 0.2, seed=9))
     pdf = g.toPandas()
     assert _is_canonical(pdf.sort_values(["src", "dst"]).reset_index(drop=True))
-    g2 = gen.ssca(spark, 60, 6, seed=10)
+    g2 = edges_from_pandas(spark, gen.ssca_pandas(60, 6, seed=10))
     assert g2.count() > 0

@@ -1,4 +1,5 @@
 """Graph substrate: canonical edges, degrees, induced subgraphs, CCs."""
+import networkx as nx
 import numpy as np
 import pandas as pd
 import pytest
@@ -7,13 +8,10 @@ from pyspark.sql import functions as F
 from repro.graph import generators as gen
 from repro.graph.ops import (
     components_pandas,
-    connected_components,
     degrees,
     edges_from_pandas,
     induced_subgraph,
     normalize_edges,
-    num_edges,
-    num_vertices,
     symmetrize,
     vertices,
 )
@@ -79,33 +77,30 @@ def test_induced_subgraph(tri_path, spark):
 
 def test_counts(tri_path):
     g, _ = tri_path
-    assert num_vertices(g) == 7
-    assert num_edges(g) == 6
+    assert vertices(g).count() == 7
+    assert g.count() == 6
 
 
 def test_connected_components_two_comps(tri_path):
-    g, pdf = tri_path
-    comp = {r["v"]: r["comp"] for r in connected_components(g).collect()}
-    assert comp[1] == comp[2] == comp[3] == comp[4] == comp[5] == 1
-    assert comp[10] == comp[11] == 10
+    _, pdf = tri_path
+    comp = components_pandas(pdf)
+    assert comp[1] == comp[2] == comp[3] == comp[4] == comp[5]
+    assert comp[10] == comp[11] != comp[1]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_connected_components_matches_union_find(spark, seed):
+def test_components_pandas_matches_networkx(seed):
     pdf = gen.erdos_renyi_pandas(40, 0.04, seed=seed)
     if len(pdf) == 0:
         pytest.skip("empty graph draw")
-    g = edges_from_pandas(spark, pdf)
-    spark_comp = {r["v"]: r["comp"] for r in connected_components(g).collect()}
     roots = components_pandas(pdf)
-    # same partition: group by label on both sides
-    def groups(lab):
-        inv = {}
-        for v, c in lab.items():
-            inv.setdefault(c, set()).add(v)
-        return sorted(frozenset(s) for s in inv.values())
-
-    assert groups(spark_comp) == groups(roots)
+    groups = {}
+    for v, r in roots.items():
+        groups.setdefault(r, set()).add(v)
+    g = nx.Graph(list(zip(pdf["src"].tolist(), pdf["dst"].tolist())))
+    assert set(roots) == set(g)
+    for v, r in roots.items():
+        assert groups[r] == nx.node_connected_component(g, v)
 
 
 def test_components_pandas_chain():

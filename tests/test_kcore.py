@@ -1,19 +1,32 @@
-"""Classical k-core: distributed h-index vs exact peeling, k_core prune."""
+"""Classical k-core: the Psi = edge (k,Psi)-core code vs exact peeling."""
 from math import comb
 
 import numpy as np
 import pandas as pd
 import pytest
 
+from repro.cores.clique_core import clique_core, clique_core_numbers_hindex
 from repro.cores.kcore import (
-    core_numbers,
     core_numbers_peel,
     gamma_upper_bounds,
-    k_core,
     max_core_vertices,
 )
 from repro.graph import generators as gen
 from repro.graph.ops import degrees, edges_from_pandas
+from repro.patterns import edge
+
+
+def hindex_core_numbers(spark, g) -> dict:
+    """Core number per vertex from the distributed h-index fixpoint."""
+    return {
+        r["v"]: r["core"]
+        for r in clique_core_numbers_hindex(spark, g, edge()).collect()
+    }
+
+
+def k_core_vertices(spark, g, k: int) -> set:
+    """Vertices of the k-core from the fixed-k pruning loop."""
+    return {r["v"] for r in clique_core(spark, g, k, edge()).collect()}
 
 
 def naive_core_numbers(pdf: pd.DataFrame) -> dict:
@@ -50,21 +63,18 @@ def test_distributed_matches_peel(spark, seed):
     if len(pdf) == 0:
         pytest.skip("empty draw")
     g = edges_from_pandas(spark, pdf)
-    got = {r["v"]: r["core"] for r in core_numbers(g).collect()}
-    assert got == core_numbers_peel(pdf)
+    assert hindex_core_numbers(spark, g) == core_numbers_peel(pdf)
 
 
 def test_distributed_on_powerlaw(spark):
     pdf = gen.chung_lu_pandas(200, 600, alpha=2.3, seed=9)
     g = edges_from_pandas(spark, pdf)
-    got = {r["v"]: r["core"] for r in core_numbers(g).collect()}
-    assert got == core_numbers_peel(pdf)
+    assert hindex_core_numbers(spark, g) == core_numbers_peel(pdf)
 
 
 def test_kn_core_numbers(spark):
     g = edges_from_pandas(spark, gen.clique_pandas(range(8)))
-    got = {r["v"]: r["core"] for r in core_numbers(g).collect()}
-    assert got == {v: 7 for v in range(8)}
+    assert hindex_core_numbers(spark, g) == {v: 7 for v in range(8)}
 
 
 def test_k_core_subgraph_fixpoint(spark):
@@ -72,16 +82,18 @@ def test_k_core_subgraph_fixpoint(spark):
         gen.clique_pandas(range(6)), gen.erdos_renyi_pandas(40, 0.05, seed=2, offset=10)
     )
     g = edges_from_pandas(spark, pdf)
-    core5 = k_core(g, 5)
+    core5 = k_core_vertices(spark, g, 5)
     # every vertex of the 5-core has degree >= 5 inside it
-    d = {r["v"]: r["deg"] for r in degrees(core5).collect()}
+    inside = pdf[pdf["src"].isin(core5) & pdf["dst"].isin(core5)]
+    d = pd.concat([inside["src"], inside["dst"]]).value_counts().to_dict()
+    assert set(d) == core5
     assert d and min(d.values()) >= 5
     assert set(d) >= set(range(6))
 
 
 def test_k_core_empty_when_too_large(spark):
     g = edges_from_pandas(spark, gen.clique_pandas(range(4)))
-    assert k_core(g, 4).count() == 0
+    assert k_core_vertices(spark, g, 4) == set()
 
 
 def test_k_core_matches_core_numbers(spark):
@@ -89,12 +101,7 @@ def test_k_core_matches_core_numbers(spark):
     g = edges_from_pandas(spark, pdf)
     cn = core_numbers_peel(pdf)
     for k in (1, 2, 3):
-        want = {v for v, c in cn.items() if c >= k}
-        got_edges = k_core(g, k).toPandas()
-        got = set(got_edges["src"]) | set(got_edges["dst"])
-        # k_core returns edges; vertices with core>=k but no surviving
-        # edge (impossible for k>=1) would be absent
-        assert got == want
+        assert k_core_vertices(spark, g, k) == {v for v, c in cn.items() if c >= k}
 
 
 def test_max_core_vertices():
@@ -117,7 +124,8 @@ def test_nested_property(spark):
 def test_gamma_upper_bounds_h2(spark):
     pdf = gen.erdos_renyi_pandas(30, 0.2, seed=17)
     g = edges_from_pandas(spark, pdf)
-    got = {r["v"]: r["gamma"] for r in gamma_upper_bounds(g, 2).collect()}
+    vs, gamma = gamma_upper_bounds(pdf.to_numpy(np.int64), 2)
+    got = dict(zip(vs.tolist(), gamma.tolist()))
     want = {r["v"]: float(r["deg"]) for r in degrees(g).collect()}
     assert got == want
 
@@ -132,7 +140,8 @@ def test_gamma_upper_bounds_h3_dominates_clique_core(spark):
 
     pdf = gen.erdos_renyi_pandas(30, 0.25, seed=19)
     g = edges_from_pandas(spark, pdf)
-    gamma = {r["v"]: r["gamma"] for r in gamma_upper_bounds(g, 3).collect()}
+    vs, g3 = gamma_upper_bounds(pdf.to_numpy(np.int64), 3)
+    gamma = dict(zip(vs.tolist(), g3.tolist()))
     inst = pattern_instances(spark, g, triangle())
     members = collect_instances(inst, triangle())
     pr = peel_decompose(members, sorted(set(pdf["src"]) | set(pdf["dst"])))
@@ -140,7 +149,7 @@ def test_gamma_upper_bounds_h3_dominates_clique_core(spark):
         assert gamma[v] >= c - 1e-9, (v, gamma[v], c)
 
 
-def test_gamma_binomial_values(spark):
-    g = edges_from_pandas(spark, gen.clique_pandas(range(6)))  # core number 5
-    gamma4 = {r["v"]: r["gamma"] for r in gamma_upper_bounds(g, 4).collect()}
-    assert all(abs(x - comb(5, 3)) < 1e-9 for x in gamma4.values())
+def test_gamma_binomial_values():
+    arr = gen.clique_pandas(range(6)).to_numpy(np.int64)  # core number 5
+    _, gamma4 = gamma_upper_bounds(arr, 4)
+    assert all(abs(x - comb(5, 3)) < 1e-9 for x in gamma4)

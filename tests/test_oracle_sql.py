@@ -78,3 +78,16 @@ def test_k4_minus_e_count_oracle(spark, rand):
         SELECT CAST(COALESCE(SUM(c * (c - 1) / 2), 0) AS BIGINT) AS n_tt FROM cn
     """
     assert_equivalent(got, sql, e=pdf)
+
+
+def test_oracle_catches_wrong_result(spark, rand):
+    """An off-by-one degree table must not pass as equivalent."""
+    g, pdf = rand
+    wrong = degrees(g).select("v", (F.col("deg") + 1).alias("deg"))
+    sql = """
+        SELECT v, COUNT(*) AS deg FROM (
+          SELECT src AS v FROM e UNION ALL SELECT dst AS v FROM e
+        ) GROUP BY v
+    """
+    with pytest.raises(AssertionError):
+        assert_equivalent(wrong, sql, e=pdf)

@@ -153,9 +153,19 @@ GENERICS = [
 ]
 
 
-@pytest.mark.parametrize("pat", GENERICS, ids=[p.name for p in GENERICS])
-def test_generic_matcher_vs_bruteforce(spark, rand_graph, pat):
-    g, pdf = rand_graph
+# Each pattern also runs on the graph with ids shifted past 2^31, where the
+# endpoint products of a 64-bit edge key would overflow.
+GENERIC_CASES = [
+    pytest.param(p, off, id=p.name if off == 0 else f"{p.name}-shifted")
+    for p in GENERICS
+    for off in (0, 1 << 31)
+]
+
+
+@pytest.mark.parametrize("pat,offset", GENERIC_CASES)
+def test_generic_matcher_vs_bruteforce(spark, rand_graph, pat, offset):
+    _, pdf = rand_graph
+    g = edges_from_pandas(spark, pdf + offset)
     assert count_pattern(spark, g, pat) == len(brute_pattern_instances(pdf, pat))
 
 
