@@ -8,11 +8,11 @@ Run: spark-submit jobs/table2_datasets.py [--full]
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.cores.clique_core import collect_instances, peel_decompose
-from repro.cores.kcore import core_numbers_peel, max_core_vertices
 from repro.graph import datasets as ds
 from repro.graph.ops import components_pandas
 from repro.patterns import triangle
@@ -29,7 +29,7 @@ def run(spark: SparkSession, names=None, triangle_stats: bool = True) -> pd.Data
         paper_n, paper_m = ds.paper_size(name)
         roots = components_pandas(pdf)
         n_cc = len(set(roots.values()))
-        kmax, kverts = max_core_vertices(core_numbers_peel(pdf))
+        kmax = peel_decompose(pdf[["src", "dst"]].to_numpy(np.int64), allv).kmax
         row = {
             "dataset": name,
             "vertices": n,
@@ -46,7 +46,7 @@ def run(spark: SparkSession, names=None, triangle_stats: bool = True) -> pd.Data
             members = collect_instances(inst, triangle())
             pr = peel_decompose(members, allv)
             row["kmax_triangle"] = pr.kmax
-            row["tri_core_size"] = sum(1 for c in pr.core.values() if c == pr.kmax)
+            row["tri_core_size"] = len(pr.kmax_core)
         rows.append(row)
     return pd.DataFrame(rows)
 

@@ -10,12 +10,14 @@
   distributed rendition of the AND nucleus-decomposition algorithm [46] that
   the paper benchmarks as "Nucleus", and it converges to exactly the peeling
   core numbers (cross-checked in tests).
-* ``peel_decompose``             — exact driver-side peeling (Algorithm 3),
-  also producing everything CoreExact/PeelApp need: peel order, residual
-  densities (rho'), best residual prefix, kmax.
+* ``peel_decompose``             — the one exact driver-side peel
+  (Algorithm 3), also producing everything CoreExact/PeelApp/IncApp/CoreApp
+  need: peel order, best residual density (rho') and prefix, kmax and the
+  kmax-core.
 
-The two Spark loops take any pattern, so with Psi = edge (Def. 6 reduces to
-Def. 5) they are also the classical k-core and core numbers.
+All three take any pattern, so with Psi = edge (Def. 6 reduces to Def. 5)
+they are also the classical k-core and core numbers: EMcore and CoreApp's
+gamma peel the edge array with ``peel_decompose``.
 """
 from __future__ import annotations
 
@@ -23,7 +25,6 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
 from repro.graph.ops import vertices as graph_vertices
@@ -34,6 +35,8 @@ from repro.patterns.instances import instances_long, member_cols, pattern_instan
 _HINDEX = (
     "size(filter(transform(sort_array(vals, false), (x, i) -> x >= i + 1), b -> b))"
 )
+# convergence guard of the two Spark fixpoint loops
+_MAX_ROUNDS = 10_000
 
 
 def clique_core(
@@ -42,7 +45,6 @@ def clique_core(
     k: int,
     pattern: Pattern,
     inst: DataFrame | None = None,
-    max_iter: int = 10_000,
 ) -> DataFrame:
     """Vertices of the (k, Psi)-core — column (v); empty if none exists."""
     if inst is None:
@@ -50,7 +52,7 @@ def clique_core(
     long = instances_long(inst, pattern).localCheckpoint(eager=True)
     alive = graph_vertices(edges).localCheckpoint(eager=True)
     p = pattern.nv
-    for _ in range(max_iter):
+    for _ in range(_MAX_ROUNDS):
         full = (
             long.join(alive, "v", "left_semi")
             .groupBy("iid")
@@ -81,7 +83,6 @@ def clique_core_numbers_hindex(
     edges: DataFrame,
     pattern: Pattern,
     inst: DataFrame | None = None,
-    max_iter: int = 10_000,
 ) -> DataFrame:
     """Clique/pattern core numbers — columns (v, core). Distributed AND.
 
@@ -94,7 +95,7 @@ def clique_core_numbers_hindex(
     est = (
         long.groupBy("v").agg(F.count("*").cast("int").alias("est"))
     ).localCheckpoint(eager=True)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ROUNDS):
         joined = long.join(est, "v")
         two_smallest = joined.groupBy("iid").agg(
             F.slice(F.sort_array(F.collect_list(F.struct("est", "v"))), 1, 2).alias("sl")
@@ -151,6 +152,7 @@ class PeelResult:
     core: dict  # vertex -> clique-core number
     order: list  # removal order (all vertices)
     kmax: int
+    kmax_core: list  # sorted vertices with core == kmax; empty when kmax == 0
     rho_prime: float  # max density over all residual subgraphs (incl. G)
     best_vertices: list  # residual subgraph achieving rho_prime (PeelApp's S*)
     n_instances: int
@@ -167,70 +169,75 @@ def collect_instances(inst: DataFrame, pattern: Pattern) -> np.ndarray:
 def peel_decompose(members: np.ndarray, all_vertices) -> PeelResult:
     """Exact (k,Psi)-core decomposition by min-clique-degree peeling.
 
-    ``members``: (num_inst, p) matrix of instance member vertex ids.
-    ``all_vertices``: every vertex of the (sub)graph, including those in
-    no instance (the density denominator counts them).
+    ``members``: (num_inst, p) matrix of instance member vertex ids; with
+    the (m, 2) edge array it is the classical core decomposition.
+    ``all_vertices``: array-like of every vertex of the (sub)graph,
+    including those in no instance (the density denominator counts them).
+    A member id not in ``all_vertices`` raises ``ValueError``.
+
+    Vertices are peeled one at a time from a (clique-degree, rank) heap,
+    rank being the position in the sorted vertex ids, so ties go to the
+    smallest id. The vertex -> instance index is CSR: one stable argsort
+    of the rank-space member matrix.
     """
-    verts = sorted(set(map(int, all_vertices)))
-    idx = {v: i for i, v in enumerate(verts)}
+    verts = np.unique(np.asarray(all_vertices, dtype=np.int64))
     n = len(verts)
-    ninst = int(members.shape[0])
+    ninst, p = members.shape
+    ids = members.ravel()
+    pos = np.searchsorted(verts, ids)
+    if ids.size and (n == 0 or (verts[np.minimum(pos, n - 1)] != ids).any()):
+        raise ValueError("an instance member is not in all_vertices")
+    flat = pos.tolist()
+    slot = np.argsort(pos, kind="stable")  # member slots grouped by vertex
+    row_of = (slot - slot % p).tolist()  # each slot's row offset in ``flat``
+    deg = np.bincount(pos, minlength=n)
+    start = np.concatenate(([0], np.cumsum(deg))).tolist()
 
-    # vertex -> instance-id adjacency (CSR-ish via sorting the long form)
-    v2i: list = [[] for _ in range(n)]
-    mem_idx = np.empty_like(members)
-    for r in range(ninst):
-        for c in range(members.shape[1]):
-            i = idx[int(members[r, c])]
-            mem_idx[r, c] = i
-            v2i[i].append(r)
-
-    cdeg = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        cdeg[i] = len(v2i[i])
-    inst_alive = np.ones(ninst, dtype=bool)
-    v_alive = np.ones(n, dtype=bool)
-
-    heap = [(int(cdeg[i]), i) for i in range(n)]
+    cdeg = deg.tolist()
+    heap = list(zip(cdeg, range(n)))
     heapq.heapify(heap)
-
-    core = np.zeros(n, dtype=np.int64)
-    order: list = []
+    pop, push = heapq.heappop, heapq.heappush
+    v_alive = bytearray(b"\x01") * n
+    row_alive = bytearray(b"\x01") * (ninst * p)  # read at row offsets
+    core = [0] * n
+    peeled: list = []  # ranks in removal order
     alive_v, alive_i = n, ninst
     best_density = alive_i / alive_v if alive_v else 0.0
     best_alive = alive_v  # remember the residual size achieving the best
     cur_core = 0
     while heap:
-        d, i = heapq.heappop(heap)
+        d, i = pop(heap)
         if not v_alive[i] or d != cdeg[i]:
             continue
-        v_alive[i] = False
-        cur_core = max(cur_core, int(cdeg[i]))
+        v_alive[i] = 0
+        if d > cur_core:
+            cur_core = d
         core[i] = cur_core
-        order.append(verts[i])
-        for r in v2i[i]:
-            if inst_alive[r]:
-                inst_alive[r] = False
+        peeled.append(i)
+        for r in row_of[start[i] : start[i + 1]]:
+            if row_alive[r]:
+                row_alive[r] = 0
                 alive_i -= 1
-                for j in mem_idx[r]:
-                    j = int(j)
-                    if v_alive[j] and j != i:
+                for j in flat[r : r + p]:
+                    if v_alive[j]:
                         cdeg[j] -= 1
-                        heapq.heappush(heap, (int(cdeg[j]), j))
+                        push(heap, (cdeg[j], j))
         alive_v -= 1
         dens = (alive_i / alive_v) if alive_v else 0.0
         if dens > best_density:
             best_density = dens
             best_alive = alive_v
 
-    kmax = int(core.max()) if n else 0
+    vl = verts.tolist()
+    kmax = max(core, default=0)
+    order = [vl[i] for i in peeled]
     # residual subgraph achieving best density = last best_alive vertices removed
     best_vertices = order[n - best_alive :] if best_alive else []
-    core_map = {verts[i]: int(core[i]) for i in range(n)}
     return PeelResult(
-        core=core_map,
+        core=dict(zip(vl, core)),
         order=order,
         kmax=kmax,
+        kmax_core=[v for v, c in zip(vl, core) if c == kmax] if kmax else [],
         rho_prime=best_density,
         best_vertices=sorted(best_vertices),
         n_instances=ninst,

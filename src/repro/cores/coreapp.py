@@ -12,11 +12,12 @@ of the true (k_max,Psi)-core has clique-degree >= k_max, hence
 gamma >= k_max, hence is inside the final W.
 
 For clique patterns the edge list is collected once and everything
-after it is array work on the driver: ``gamma_upper_bounds`` ranks the
-vertices off the edge array, an ``np.isin`` mask selects G[W]'s edges and
-``clique_members`` lists its h-cliques (for h=2 the edges themselves).
-Other patterns rank by pattern degree and enumerate Psi on Spark in every
-round.
+after it is array work on the driver: ``gamma_upper_bounds`` (defined
+here, its only caller) ranks the vertices off the edge array, an
+``np.isin`` mask selects G[W]'s edges and ``clique_members`` lists its
+h-cliques (for h=2 the edges themselves). Other patterns rank by pattern
+degree and enumerate Psi on Spark in every round. Every peel, the
+classical one behind gamma included, is ``peel_decompose``.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ from pyspark.sql import DataFrame, SparkSession, functions as F
 
 from repro.cliques.enumerate import clique_members
 from repro.cores.clique_core import collect_instances, instances_inside, peel_decompose
-from repro.cores.kcore import gamma_upper_bounds
 from repro.graph.ops import edge_array, induced_subgraph, vertices as graph_vertices
 from repro.patterns.base import Pattern
 from repro.patterns.instances import pattern_degrees, pattern_instances
@@ -72,9 +72,7 @@ def kmax_core_coreapp(
         pr = peel_decompose(members, W)
         if pr.kmax >= kmax:
             kmax = pr.kmax
-            core_verts = sorted(
-                v for v, c in pr.core.items() if c == kmax and kmax > 0
-            )
+            core_verts = pr.kmax_core
             # G[core] is induced in G[W], so its instances are exactly
             # the rows of ``members`` that lie inside the core
             core_instances = int(instances_inside(members, core_verts).sum())
@@ -92,6 +90,44 @@ def kmax_core_coreapp(
         "t_total": time.perf_counter() - t0,
     }
     return kmax, core_verts, info
+
+
+def gamma_upper_bounds(edge_arr: np.ndarray, h: int) -> tuple:
+    """CoreApp's gamma(v) ranking bound for the h-clique — (vertices, gamma).
+
+    ``edge_arr`` is the (m, 2) edge array; both outputs are aligned arrays
+    over its sorted distinct endpoints. h=2: the degree. h>=3:
+    gamma(v) = C(core(v), h-1) from a classical core decomposition, per
+    Algorithm 6; the core numbers come from ``peel_decompose`` with the
+    edge array as the member matrix.
+
+    Note a subtlety the paper's prose glosses over: this is NOT an upper
+    bound on the clique-degree
+    deg_G(v, Psi) (a low-coreness vertex can sit in many cliques'
+    worth of neighbour edges) — but it IS an upper bound on the
+    clique-CORE number core_G(v, Psi): inside the (c,Psi)-core every
+    vertex needs degree d with C(d, h-1) >= c, so the classical
+    coreness x of its vertices satisfies C(x, h-1) >= c. That is
+    exactly the invariant CoreApp's stopping criterion requires
+    ("remaining gamma < k_max => remaining clique-core numbers <
+    k_max"), so Algorithm 6 is correct with this gamma. Tested in
+    test_kcore.py::test_gamma_upper_bounds_h3_dominates_clique_core.
+
+    Layering: gamma is a one-shot preprocessing *ranking* over the edge
+    array CoreApp already holds, so the classical core numbers behind it
+    come from the linear-time driver peel ([7], as the paper does). The
+    distributed h-index fixpoint (``clique_core_numbers_hindex``) is the
+    dataflow path of the Nucleus baseline.
+    """
+    vs, deg = np.unique(edge_arr, return_counts=True)
+    if h == 2:
+        return vs, deg.astype(np.float64)
+    core = peel_decompose(edge_arr, vs).core
+    x = np.array([core[v] for v in vs.tolist()], dtype=np.float64)
+    g = np.ones_like(x)
+    for i in range(h - 1):
+        g = g * np.maximum(x - i, 0.0) / (i + 1)
+    return vs, g
 
 
 def _pattern_gamma(spark: SparkSession, edges: DataFrame, pattern: Pattern) -> tuple:

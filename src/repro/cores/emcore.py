@@ -14,17 +14,19 @@ top-down bins — each block is decomposed in full before descending,
 which is where its O(k_max (n+m)) vs CoreApp's O(n+m) shows up).
 
 Run in main memory as in the paper: the edge list is collected once, and
-the degrees and every block G[H_t] are array work on the driver.
+the degrees and every block G[H_t] are array work on the driver. Each
+block is decomposed by the one driver peel, ``peel_decompose`` with the
+edge array as the member matrix (Def. 6 with Psi = edge is Def. 5).
 """
 from __future__ import annotations
 
 import time
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.cores.kcore import core_numbers_peel, max_core_vertices
+# the (k,Psi)-core peel with Psi = edge; the benchmark tracer wraps this name
+from repro.cores.clique_core import peel_decompose as core_numbers_peel
 from repro.graph.ops import edge_array
 
 
@@ -40,10 +42,8 @@ def kmax_core_emcore(spark: SparkSession, edges: DataFrame) -> tuple:
         rounds += 1
         hv = vs[deg >= t]
         inside = np.isin(edge_arr, hv).all(axis=1)
-        sub_pdf = pd.DataFrame(edge_arr[inside], columns=["src", "dst"])
-        core = core_numbers_peel(sub_pdf, all_vertices=hv)
-        kmax_h, verts = max_core_vertices(core)
-        if kmax_h >= t or t <= 1:
+        pr = core_numbers_peel(edge_arr[inside], hv)
+        if pr.kmax >= t or t <= 1:
             info = {"rounds": rounds, "t_total": time.perf_counter() - t0}
-            return kmax_h, verts, info
+            return pr.kmax, pr.kmax_core, info
         t = max(1, t // 2)

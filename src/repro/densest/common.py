@@ -33,18 +33,15 @@ def gather(
     spark: SparkSession,
     edges: DataFrame,
     pattern: Pattern,
-    inst: DataFrame | None = None,
     edge_arr: np.ndarray | None = None,
 ) -> tuple:
     """(all_vertex_ids, member_matrix) — the driver-side problem instance.
 
     The vertex ids are sorted ascending, read off the edge array (pass
     ``edge_arr`` when the caller already collected it). The instances are
-    enumerated on Spark unless ``inst`` is given, and collected once.
+    enumerated on Spark and collected once.
     """
-    if inst is None:
-        inst = pattern_instances(spark, edges, pattern)
-    members = collect_instances(inst, pattern)
+    members = collect_instances(pattern_instances(spark, edges, pattern), pattern)
     if edge_arr is None:
         edge_arr = edge_array(edges)
     allv = np.unique(edge_arr).tolist()

@@ -31,6 +31,7 @@ import math
 import time
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.cores.clique_core import instances_inside, peel_decompose
@@ -48,22 +49,18 @@ def core_exact(
     spark: SparkSession,
     edges: DataFrame,
     pattern: Pattern,
-    inst: DataFrame | None = None,
     use_p1: bool = True,
     use_p2: bool = True,
     use_p3: bool = True,
     use_lemma8: bool = True,
-    lemma8_cap: int = 20_000,
-    grouped: bool | None = None,
 ) -> DSDResult:
     t_start = time.perf_counter()
-    if grouped is None:
-        grouped = pattern.kind not in ("clique",)
+    grouped = pattern.kind != "clique"  # construct+ for non-clique patterns
     p = pattern.nv
 
     # CoreExact targets small/moderate graphs (§8 remark)
     edge_arr = edge_array(edges)
-    allv, members = gather(spark, edges, pattern, inst, edge_arr=edge_arr)
+    allv, members = gather(spark, edges, pattern, edge_arr=edge_arr)
     t_enum = time.perf_counter() - t_start
 
     t1 = time.perf_counter()
@@ -102,8 +99,6 @@ def core_exact(
             return []
         vs = np.fromiter(vset, dtype=np.int64, count=len(vset))
         keep = np.isin(esrc, vs) & np.isin(edst, vs)
-        import pandas as pd
-
         roots = components_pandas(
             pd.DataFrame({"src": esrc[keep], "dst": edst[keep]}), extra_vertices=vset
         )
@@ -141,11 +136,7 @@ def core_exact(
     def network_for(cset: set, alpha: float) -> tuple:
         """Flow network of G[cset] at ``alpha``, Lemma-8 pruned."""
         mem_c = members[instances_inside(members, cset)]
-        keep = (
-            lemma8_keep_mask(mem_c, len(cset), cap=lemma8_cap)
-            if use_lemma8
-            else None
-        )
+        keep = lemma8_keep_mask(mem_c, len(cset)) if use_lemma8 else None
         stats["network_builds"] += 1
         return build_network(cset, mem_c, alpha, p, grouped=grouped, keep_mask=keep)
 

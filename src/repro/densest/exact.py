@@ -24,13 +24,12 @@ def exact_densest(
     spark: SparkSession,
     edges: DataFrame,
     pattern: Pattern,
-    inst: DataFrame | None = None,
     grouped: bool | None = None,
 ) -> DSDResult:
     """Find the CDS/PDS exactly, per Algorithm 1 (+ construct+ grouping
     for non-clique patterns when ``grouped`` is None)."""
     t0 = time.perf_counter()
-    allv, members = gather(spark, edges, pattern, inst)
+    allv, members = gather(spark, edges, pattern)
     t_enum = time.perf_counter() - t0
     if grouped is None:
         grouped = pattern.kind not in ("clique",)

@@ -15,16 +15,13 @@ def inc_app(
     spark: SparkSession,
     edges: DataFrame,
     pattern: Pattern,
-    inst: DataFrame | None = None,
 ) -> DSDResult:
     t0 = time.perf_counter()
-    allv, members = gather(spark, edges, pattern, inst)
+    allv, members = gather(spark, edges, pattern)
     t_enum = time.perf_counter() - t0
     t1 = time.perf_counter()
     pr = peel_decompose(members, allv)
-    core_verts = sorted(v for v, c in pr.core.items() if c == pr.kmax and pr.kmax > 0)
-    if not core_verts:
-        core_verts = allv[:1]
+    core_verts = pr.kmax_core or allv[:1]
     t_dec = time.perf_counter() - t1
     return DSDResult(
         "IncApp",

@@ -19,10 +19,9 @@ def peel_app(
     spark: SparkSession,
     edges: DataFrame,
     pattern: Pattern,
-    inst: DataFrame | None = None,
 ) -> DSDResult:
     t0 = time.perf_counter()
-    allv, members = gather(spark, edges, pattern, inst)
+    allv, members = gather(spark, edges, pattern)
     t_enum = time.perf_counter() - t0
     t1 = time.perf_counter()
     pr = peel_decompose(members, allv)

@@ -13,7 +13,7 @@ Definitions 7-9 of the paper.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,13 @@
 Checks the Lemma 9/11 ratio everywhere, and that the three core-based
 approximations return the identical (k_max, Psi)-core.
 """
+import networkx as nx
 import pandas as pd
 import pytest
 
 from repro.cores.clique_core import density_of
 from repro.cores.coreapp import kmax_core_coreapp
 from repro.cores.emcore import kmax_core_emcore
-from repro.cores.kcore import core_numbers_peel, max_core_vertices
 from repro.densest.common import gather
 from repro.densest.coreapp_dsd import core_app
 from repro.densest.core_exact import core_exact
@@ -22,6 +22,14 @@ from repro.graph.ops import edges_from_pandas
 from repro.patterns import clique, diamond, edge, star, triangle
 
 PATTERNS = [edge(), triangle(), star(2), diamond()]
+
+
+def nx_kmax_core(pdf: pd.DataFrame) -> tuple:
+    """(k_max, sorted k_max-core vertices) of the classical cores, from
+    networkx, so the oracle does not share the peel it checks."""
+    core = nx.core_number(nx.from_pandas_edgelist(pdf, "src", "dst"))
+    kmax = max(core.values())
+    return kmax, sorted(int(v) for v, c in core.items() if c == kmax)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -66,7 +74,7 @@ def test_coreapp_kmax_matches_peel_edge(spark, seed):
     pdf = gen.chung_lu_pandas(120, 360, alpha=2.3, seed=seed)
     g = edges_from_pandas(spark, pdf)
     kmax, verts, _ = kmax_core_coreapp(spark, g, edge())
-    want_k, want_v = max_core_vertices(core_numbers_peel(pdf))
+    want_k, want_v = nx_kmax_core(pdf)
     assert kmax == want_k
     assert verts == want_v
 
@@ -76,7 +84,7 @@ def test_emcore_matches_peel_edge(spark, seed):
     pdf = gen.chung_lu_pandas(120, 360, alpha=2.3, seed=seed)
     g = edges_from_pandas(spark, pdf)
     kmax, verts, _ = kmax_core_emcore(spark, g)
-    want_k, want_v = max_core_vertices(core_numbers_peel(pdf))
+    want_k, want_v = nx_kmax_core(pdf)
     assert kmax == want_k
     assert sorted(verts) == want_v
 
@@ -115,7 +123,7 @@ def test_coreapp_stopping_criterion_small_w0(spark):
     )
     g = edges_from_pandas(spark, pdf)
     k_small, v_small, info = kmax_core_coreapp(spark, g, edge(), w0=4)
-    k_ref, v_ref = max_core_vertices(core_numbers_peel(g.toPandas()))
+    k_ref, v_ref = nx_kmax_core(g.toPandas())
     assert k_small == k_ref and v_small == v_ref
     assert info["final_w"] < info["n"]
 
@@ -194,7 +202,7 @@ def test_emcore_multi_round(spark):
     )
     g = edges_from_pandas(spark, pdf)
     kmax, verts, info = kmax_core_emcore(spark, g)
-    want_k, want_v = max_core_vertices(core_numbers_peel(pdf))
+    want_k, want_v = nx_kmax_core(pdf)
     assert info["rounds"] >= 3
     assert kmax == want_k
     assert sorted(verts) == want_v

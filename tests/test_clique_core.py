@@ -1,10 +1,8 @@
 """(k,Psi)-cores: Alg. 3 peeling, distributed h-operator, Theorem 1 bounds."""
-from math import comb
 
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.cores.clique_core import (
     clique_core,

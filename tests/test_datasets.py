@@ -1,5 +1,4 @@
 """Named dataset stand-ins (Table 2 substitutions)."""
-from math import comb
 
 import pandas as pd
 import pytest

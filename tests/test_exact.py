@@ -1,5 +1,4 @@
 """Exact (Algorithm 1) certified against brute-force subset enumeration."""
-from math import comb
 
 import pandas as pd
 import pytest

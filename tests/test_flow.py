@@ -1,9 +1,12 @@
 """Dinic max-flow / min-cut: classic cases + brute-force cut check."""
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+from repro.densest.network import build_network, min_cut_vertices
 from repro.flow.dinic import Dinic
+from repro.graph import generators as gen
 
 
 def test_single_edge():
@@ -110,3 +113,31 @@ def test_maxflow_equals_brute_min_cut(seed):
     cap = sum(c for (u, v, c) in arcs if u in S and v not in S)
     assert cap == pytest.approx(flow)
     assert 0 in S and (n - 1) not in S
+
+
+_EPS_DEFECT = (
+    "ROADMAP item 2: Dinic compares float capacities against EPS = 1e-9, so "
+    "a cut this close to rho* reads as empty"
+)
+
+
+@pytest.mark.parametrize(
+    "n, f",
+    [
+        (20_020, 0.5),
+        pytest.param(20_020, 0.1, marks=pytest.mark.xfail(strict=True, reason=_EPS_DEFECT)),
+        pytest.param(60_020, 0.5, marks=pytest.mark.xfail(strict=True, reason=_EPS_DEFECT)),
+    ],
+)
+def test_cut_exact_at_stopping_gap(n, f):
+    """K20 with a path of n - 20 vertices hanging off it, edge pattern:
+    rho* = 9.5 and the K20 is the only set denser than any alpha < rho*.
+    At alpha = rho* - f * gap, gap = 1/(n(n-1)) being the binary search's
+    stopping gap, the min cut must be exactly the K20."""
+    k20 = gen.clique_pandas(range(20))[["src", "dst"]].to_numpy(np.int64)
+    path = np.arange(20, n)
+    tail = np.stack([np.r_[0, path[:-1]], path], axis=1)
+    edges = np.vstack([k20, tail])
+    alpha = 9.5 - f / (n * (n - 1))
+    net, s, t, vid2node, _ = build_network(range(n), edges, alpha, 2)
+    assert min_cut_vertices(net, s, t, vid2node) == list(range(20))

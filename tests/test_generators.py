@@ -1,7 +1,6 @@
 """Synthetic graph generators: determinism, canonicality, structure."""
 from math import comb
 
-import numpy as np
 import pandas as pd
 import pytest
 

@@ -1,9 +1,7 @@
 """Graph substrate: canonical edges, degrees, induced subgraphs, CCs."""
 import networkx as nx
-import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.graph import generators as gen
 from repro.graph.ops import (

@@ -1,9 +1,7 @@
 """Integration: every table job runs end-to-end at tiny scale."""
-import pandas as pd
-import pytest
 
 from jobs import table2_datasets, table3_decomp_pct, table4_emcore_coreapp, table5_densities
-from repro.patterns import clique, star
+from repro.patterns import clique
 
 
 def test_table2_small_subset(spark):

@@ -1,16 +1,17 @@
-"""Classical k-core: the Psi = edge (k,Psi)-core code vs exact peeling."""
+"""Classical k-core: the Psi = edge (k,Psi)-core code vs exact peeling.
+
+The driver peel is ``peel_decompose`` with the edge array as the member
+matrix. The Spark loops are checked against networkx, so that their
+oracle does not depend on the peel."""
 from math import comb
 
+import networkx as nx
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.cores.clique_core import clique_core, clique_core_numbers_hindex
-from repro.cores.kcore import (
-    core_numbers_peel,
-    gamma_upper_bounds,
-    max_core_vertices,
-)
+from repro.cores.clique_core import clique_core, clique_core_numbers_hindex, peel_decompose
+from repro.cores.coreapp import gamma_upper_bounds
 from repro.graph import generators as gen
 from repro.graph.ops import degrees, edges_from_pandas
 from repro.patterns import edge
@@ -27,6 +28,17 @@ def hindex_core_numbers(spark, g) -> dict:
 def k_core_vertices(spark, g, k: int) -> set:
     """Vertices of the k-core from the fixed-k pruning loop."""
     return {r["v"] for r in clique_core(spark, g, k, edge()).collect()}
+
+
+def edge_core_numbers(pdf: pd.DataFrame) -> dict:
+    """Core numbers from the driver peel over the edge array."""
+    arr = pdf[["src", "dst"]].to_numpy(np.int64)
+    return peel_decompose(arr, np.unique(arr)).core
+
+
+def nx_core_numbers(pdf: pd.DataFrame) -> dict:
+    """Core numbers from networkx."""
+    return nx.core_number(nx.from_pandas_edgelist(pdf, "src", "dst"))
 
 
 def naive_core_numbers(pdf: pd.DataFrame) -> dict:
@@ -54,7 +66,7 @@ def test_peel_matches_naive(seed):
     pdf = gen.erdos_renyi_pandas(30, 0.15, seed=seed)
     if len(pdf) == 0:
         pytest.skip("empty draw")
-    assert core_numbers_peel(pdf) == naive_core_numbers(pdf)
+    assert edge_core_numbers(pdf) == naive_core_numbers(pdf) == nx_core_numbers(pdf)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -63,13 +75,13 @@ def test_distributed_matches_peel(spark, seed):
     if len(pdf) == 0:
         pytest.skip("empty draw")
     g = edges_from_pandas(spark, pdf)
-    assert hindex_core_numbers(spark, g) == core_numbers_peel(pdf)
+    assert hindex_core_numbers(spark, g) == nx_core_numbers(pdf)
 
 
 def test_distributed_on_powerlaw(spark):
     pdf = gen.chung_lu_pandas(200, 600, alpha=2.3, seed=9)
     g = edges_from_pandas(spark, pdf)
-    assert hindex_core_numbers(spark, g) == core_numbers_peel(pdf)
+    assert hindex_core_numbers(spark, g) == nx_core_numbers(pdf)
 
 
 def test_kn_core_numbers(spark):
@@ -99,19 +111,26 @@ def test_k_core_empty_when_too_large(spark):
 def test_k_core_matches_core_numbers(spark):
     pdf = gen.erdos_renyi_pandas(50, 0.1, seed=11)
     g = edges_from_pandas(spark, pdf)
-    cn = core_numbers_peel(pdf)
+    cn = nx_core_numbers(pdf)
     for k in (1, 2, 3):
         assert k_core_vertices(spark, g, k) == {v for v, c in cn.items() if c >= k}
 
 
-def test_max_core_vertices():
-    assert max_core_vertices({}) == (0, [])
-    assert max_core_vertices({1: 2, 2: 2, 3: 1}) == (2, [1, 2])
+def test_kmax_core():
+    """PeelResult.kmax_core: the sorted vertices with core == k_max, empty
+    when k_max == 0."""
+    pr = peel_decompose(np.empty((0, 2), dtype=np.int64), [])
+    assert (pr.kmax, pr.kmax_core) == (0, [])
+    pr = peel_decompose(np.empty((0, 2), dtype=np.int64), [7, 5])
+    assert (pr.kmax, pr.kmax_core) == (0, [])
+    # triangle {3, 1, 2} with a pendant 9 on 1: cores {1, 2, 3}: 2, {9}: 1
+    pr = peel_decompose(np.array([[3, 1], [1, 2], [2, 3], [1, 9]]), [1, 2, 3, 9])
+    assert (pr.kmax, pr.kmax_core) == (2, [1, 2, 3])
 
 
 def test_nested_property(spark):
     pdf = gen.chung_lu_pandas(150, 450, seed=13)
-    cn = core_numbers_peel(pdf)
+    cn = edge_core_numbers(pdf)
     kmax = max(cn.values())
     prev = None
     for k in range(kmax, -1, -1):
@@ -133,7 +152,7 @@ def test_gamma_upper_bounds_h2(spark):
 def test_gamma_upper_bounds_h3_dominates_clique_core(spark):
     """gamma(v) = C(core(v), h-1) bounds the clique-CORE number — the
     invariant CoreApp's stopping criterion needs (it does NOT bound the
-    clique-degree, despite the paper's prose; see kcore.py docstring)."""
+    clique-degree, despite the paper's prose; see its docstring in coreapp.py)."""
     from repro.cores.clique_core import collect_instances, peel_decompose
     from repro.patterns import triangle
     from repro.patterns.instances import pattern_instances

@@ -1,5 +1,4 @@
 """DuckDB-oracle checks of Spark dataflow results (beyond test_cliques)."""
-import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 

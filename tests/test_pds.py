@@ -1,5 +1,4 @@
 """PDS problem (§7): pattern-densest subgraphs + Table-5-style invariants."""
-import pandas as pd
 import pytest
 
 from repro.cores.clique_core import density_of
@@ -9,7 +8,7 @@ from repro.densest.core_exact import core_exact
 from repro.densest.exact import exact_densest
 from repro.graph import generators as gen
 from repro.graph.ops import edges_from_pandas
-from repro.patterns import c3_star, diamond, edge, generic, star, two_triangle
+from repro.patterns import c3_star, diamond, edge, star, two_triangle
 
 PDS_PATTERNS = [star(2), c3_star(), diamond(), two_triangle()]
 

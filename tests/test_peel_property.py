@@ -1,16 +1,128 @@
 """Property-based checks of the driver peeling engine (no Spark).
 
 Hypothesis generates random small instance-hypergraphs; we verify the
-peel against first-principles definitions of the (k,Psi)-core.
+peel against first-principles definitions of the (k,Psi)-core. Seeded
+random member matrices check it against ``reference_peel``, the
+dict-and-double-loop heap peel it replaced.
 """
+import heapq
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cores.clique_core import (
+    PeelResult,
     density_of,
     instances_inside,
     peel_decompose,
 )
+
+
+def reference_peel(members: np.ndarray, all_vertices) -> PeelResult:
+    """The heap peel with a dict index built in a Python double loop."""
+    verts = sorted(set(map(int, all_vertices)))
+    idx = {v: i for i, v in enumerate(verts)}
+    n = len(verts)
+    ninst = int(members.shape[0])
+
+    v2i: list = [[] for _ in range(n)]
+    mem_idx = np.empty_like(members)
+    for r in range(ninst):
+        for c in range(members.shape[1]):
+            i = idx[int(members[r, c])]
+            mem_idx[r, c] = i
+            v2i[i].append(r)
+
+    cdeg = np.zeros(n, dtype=np.int64)
+    for i in range(n):
+        cdeg[i] = len(v2i[i])
+    inst_alive = np.ones(ninst, dtype=bool)
+    v_alive = np.ones(n, dtype=bool)
+
+    heap = [(int(cdeg[i]), i) for i in range(n)]
+    heapq.heapify(heap)
+
+    core = np.zeros(n, dtype=np.int64)
+    order: list = []
+    alive_v, alive_i = n, ninst
+    best_density = alive_i / alive_v if alive_v else 0.0
+    best_alive = alive_v
+    cur_core = 0
+    while heap:
+        d, i = heapq.heappop(heap)
+        if not v_alive[i] or d != cdeg[i]:
+            continue
+        v_alive[i] = False
+        cur_core = max(cur_core, int(cdeg[i]))
+        core[i] = cur_core
+        order.append(verts[i])
+        for r in v2i[i]:
+            if inst_alive[r]:
+                inst_alive[r] = False
+                alive_i -= 1
+                for j in mem_idx[r]:
+                    j = int(j)
+                    if v_alive[j] and j != i:
+                        cdeg[j] -= 1
+                        heapq.heappush(heap, (int(cdeg[j]), j))
+        alive_v -= 1
+        dens = (alive_i / alive_v) if alive_v else 0.0
+        if dens > best_density:
+            best_density = dens
+            best_alive = alive_v
+
+    kmax = int(core.max()) if n else 0
+    best_vertices = order[n - best_alive :] if best_alive else []
+    core_map = {verts[i]: int(core[i]) for i in range(n)}
+    return PeelResult(
+        core=core_map,
+        order=order,
+        kmax=kmax,
+        kmax_core=sorted(v for v, c in core_map.items() if c == kmax and kmax > 0),
+        rho_prime=best_density,
+        best_vertices=sorted(best_vertices),
+        n_instances=ninst,
+    )
+
+
+def _random_members(rng, p: int, n_used: int, ninst: int, offset: int) -> np.ndarray:
+    """``ninst`` instances of ``p`` distinct members from ids offset..offset+n_used-1."""
+    if ninst == 0:
+        return np.empty((0, p), dtype=np.int64)
+    rows = [rng.choice(n_used, size=p, replace=False) for _ in range(ninst)]
+    return np.asarray(rows, dtype=np.int64) + offset
+
+
+@pytest.mark.parametrize("offset", [0, 2**40], ids=["small-ids", "ids-2^40"])
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+def test_peel_matches_reference(p, offset):
+    """The whole PeelResult equals the reference peel's, on seeded random
+    member matrices: dense and sparse ones, empty ones, and vertex sets
+    with ids in no instance."""
+    rng = np.random.default_rng(1000 * p + (offset > 0))
+    for _ in range(60):
+        n_used = int(rng.integers(p, 3 * p + 12))
+        ninst = int(rng.integers(0, 4 * n_used))
+        members = _random_members(rng, p, n_used, ninst, offset)
+        extra = rng.choice(1000, size=int(rng.integers(0, 6)), replace=False)
+        allv = list(range(offset, offset + n_used)) + (offset + 5000 + extra).tolist()
+        rng.shuffle(allv)
+        assert peel_decompose(members, allv) == reference_peel(members, allv)
+    empty = np.empty((0, p), dtype=np.int64)
+    assert peel_decompose(empty, []) == reference_peel(empty, [])
+    allv = [offset + 3, offset + 1, offset + 2]
+    assert peel_decompose(empty, allv) == reference_peel(empty, allv)
+
+
+def test_peel_rejects_member_outside_vertex_set():
+    members = np.array([[1, 2, 3], [2, 3, 9]], dtype=np.int64)
+    with pytest.raises(ValueError):
+        peel_decompose(members, [1, 2, 3])
+    with pytest.raises(ValueError):
+        peel_decompose(members, [])
+    with pytest.raises(ValueError):  # 2 falls between two vertex ids
+        peel_decompose(members, [1, 3, 9])
 
 # random instance sets: up to 25 instances of arity 3 over vertices 0..11
 instances_strategy = st.lists(
