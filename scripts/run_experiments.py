@@ -5,11 +5,14 @@ Usage: python scripts/run_experiments.py [table2|table3|table4|table5] ...
 import os
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "/root/repo")
-import conftest  # noqa: F401  (sets PYSPARK_SUBMIT_ARGS)
+ROOT = Path(__file__).resolve().parents[1]  # the checkout this script is in
+RESULTS = ROOT / "results"
+sys.path[:0] = [str(ROOT), str(ROOT / "src")]  # its jobs/, conftest and repro
+import conftest  # noqa: E402, F401  (sets PYSPARK_SUBMIT_ARGS)
 
-from pyspark.sql import SparkSession
+from pyspark.sql import SparkSession  # noqa: E402
 
 spark = (
     SparkSession.builder.appName("experiments")
@@ -21,12 +24,12 @@ spark = (
 )
 spark.sparkContext.setLogLevel("ERROR")
 
-os.makedirs("/root/repo/results", exist_ok=True)
+RESULTS.mkdir(exist_ok=True)
 want = set(sys.argv[1:]) or {"table2", "table3", "table4", "table5"}
 
 
 def save(name, df):
-    path = f"/root/repo/results/{name}.csv"
+    path = RESULTS / f"{name}.csv"
     df.to_csv(path, index=False)
     print(f"=== {name} ===")
     print(df.to_string(index=False))

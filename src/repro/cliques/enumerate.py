@@ -12,8 +12,10 @@ memberships.
 
 * ``clique_instances`` is the Spark plan: one extension join plus h-2
   membership semi-joins per level, all equi-joins Catalyst can
-  shuffle-plan. Only the DAG is checkpointed; the levels form one plan
-  that runs when the caller collects or counts it.
+  shuffle-plan. The orientation and the levels are each one Spark SQL
+  statement, so each plan is parsed and analysed once rather than once
+  per DataFrame call. Only the DAG is checkpointed; the levels form one
+  plan that runs when the caller collects or counts it.
 * ``clique_members`` is the same listing over an edge array the driver
   already holds, for subgraphs small enough to collect (CoreApp's
   top-W rounds). Membership is a ``searchsorted`` on sorted edge keys.
@@ -23,26 +25,48 @@ from __future__ import annotations
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
-from repro.graph.ops import degrees, symmetrize
-
 
 def oriented_edges(edges: DataFrame) -> DataFrame:
     """Degree-ordered orientation — columns (a, b), rank(a) < rank(b).
 
     rank(v) = (deg(v), v): ties broken by id, so the orientation is a
-    total order and acyclic.
+    total order and acyclic. One SQL statement: each canonical edge
+    (src < dst) keeps its direction when rank(src) < rank(dst) and is
+    flipped otherwise.
     """
-    deg = degrees(edges)
-    sym = symmetrize(edges)
-    ranked = (
-        sym.join(deg.withColumnRenamed("v", "u").withColumnRenamed("deg", "du"), "u")
-        .join(deg.withColumnRenamed("deg", "dv"), "v")
-        .where(
-            (F.col("du") < F.col("dv"))
-            | ((F.col("du") == F.col("dv")) & (F.col("u") < F.col("v")))
+    return edges.sparkSession.sql(
+        """
+        WITH deg AS (
+          SELECT v, COUNT(*) AS d
+          FROM (SELECT src AS v FROM {e} UNION ALL SELECT dst AS v FROM {e})
+          GROUP BY v
+        ), ranked AS (
+          SELECT e.src, e.dst, (ds.d < dd.d OR (ds.d = dd.d AND e.src < e.dst)) AS fwd
+          FROM {e} e JOIN deg ds ON e.src = ds.v JOIN deg dd ON e.dst = dd.v
         )
+        SELECT IF(fwd, src, dst) AS a, IF(fwd, dst, src) AS b FROM ranked
+        """,
+        e=edges,
     )
-    return ranked.select(F.col("u").alias("a"), F.col("v").alias("b"))
+
+
+def _levels_sql(h: int) -> str:
+    """kClist levels 3..h over the oriented DAG ``{dag}`` as one statement.
+
+    Level k joins the out-neighbours ``xk`` of the last vertex, then
+    semi-joins one oriented edge (v_i, v_k) per earlier vertex i < k-1.
+    """
+    v = ["x2.a", "x2.b"] + [f"x{k}.b" for k in range(3, h + 1)]
+    joins = []
+    for k in range(3, h + 1):
+        joins.append(f"JOIN {{dag}} x{k} ON x{k}.a = {v[k - 2]}")
+        joins += [
+            f"LEFT SEMI JOIN {{dag}} m{k}_{i} "
+            f"ON m{k}_{i}.a = {v[i - 1]} AND m{k}_{i}.b = {v[k - 1]}"
+            for i in range(1, k - 1)
+        ]
+    cols = ", ".join(f"{c} AS v{j}" for j, c in enumerate(v, 1))
+    return f"SELECT {cols} FROM {{dag}} x2 " + " ".join(joins)
 
 
 def clique_instances(spark: SparkSession, edges: DataFrame, h: int) -> DataFrame:
@@ -62,17 +86,7 @@ def clique_instances(spark: SparkSession, edges: DataFrame, h: int) -> DataFrame
     if h == 2:
         return edges.select(F.col("src").alias("v1"), F.col("dst").alias("v2"))
     dag = oriented_edges(edges).localCheckpoint(eager=True)
-    cur = dag.select(F.col("a").alias("v1"), F.col("b").alias("v2"))
-    for k in range(3, h + 1):
-        last = f"v{k - 1}"
-        ext = dag.select(F.col("a").alias(last), F.col("b").alias(f"v{k}"))
-        cur = cur.join(ext, last)
-        # membership joins: (vi, vk) must be an oriented edge for i < k-1
-        for i in range(1, k - 1):
-            chk = dag.select(F.col("a").alias(f"v{i}"), F.col("b").alias(f"v{k}"))
-            cur = cur.join(chk, [f"v{i}", f"v{k}"], "left_semi")
-        cur = cur.select(*[f"v{j}" for j in range(1, k + 1)])
-    return cur
+    return spark.sql(_levels_sql(h), dag=dag)
 
 
 def clique_members(edge_arr: np.ndarray, h: int) -> np.ndarray:

@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.cores.clique_core import collect_instances, density_of
+from repro.cores.clique_core import collect_instances, instances_inside
 from repro.graph.ops import edge_array
 from repro.patterns.base import Pattern
 from repro.patterns.instances import pattern_instances
@@ -48,5 +49,22 @@ def gather(
     return allv, members
 
 
-def exact_density(members: np.ndarray, vertex_set) -> float:
-    return density_of(members, set(vertex_set))
+def exact_density(members: np.ndarray, vertex_set) -> Fraction:
+    """rho(G[S], Psi) = instances fully inside S / |S|, as an exact fraction."""
+    vs = set(vertex_set)
+    if not vs:
+        return Fraction(0)
+    return Fraction(int(instances_inside(members, vs).sum()), len(vs))
+
+
+def certificate(vertices, density: Fraction, alpha: Fraction) -> dict:
+    """Optimality certificate of an exact result: the returned set S, its
+    density rho(S), and the alpha at which the last min cut was empty,
+    fractions written "a/b". An empty cut at alpha proves that no vertex
+    set of that network is denser than alpha, so alpha == rho(S) proves
+    S optimal."""
+    return {
+        "vertices": sorted(vertices),
+        "density": f"{density.numerator}/{density.denominator}",
+        "alpha": f"{alpha.numerator}/{alpha.denominator}",
+    }

@@ -4,45 +4,42 @@ Pipeline: (1) Spark enumerates instances; (2) exact (k,Psi)-core
 decomposition (driver peel over the collected instance table — the
 enumeration is the dominant cost, Lemma 6) tracking residual densities
 (rho'); (3) locate the CDS in the (k'',Psi)-core and split it into
-connected components; (4) per-component flow-network binary search
-with the four optimizations of §6.1:
+connected components; (4) per component, Dinkelbach's search on an
+exact integer flow network (as in ``repro.densest.exact``), with the
+optimizations of §6.1 that still apply:
 
-* tighter alpha bounds: l = max(kmax/|V_Psi|, rho', rho''), u = kmax;
+* tighter lower bound: l = max(kmax/|V_Psi|, rho', rho''), where every
+  component's search starts;
 * Pruning1/2: localization via ceil(rho') and per-component ceil(rho'');
-* Pruning3: per-component stopping gap 1/(|V_C| (|V_C|-1));
 * Lemma 8 instance-node pruning (size-capped, see DESIGN.md);
-* shrink: whenever l grows past the located core order, the component
-  is re-restricted to the higher core and the network shrinks.
+* shrink: whenever alpha grows past the located core order, the
+  component is re-restricted to the higher core and the network shrinks.
 
-Each component's network (with its Lemma-8 mask) is built once, and
-again only when the component shrinks to a higher core; the probes in
-between warm-start from the flow of the last non-empty cut (see
-``repro.densest.network``).
+Pruning3 (a per-component stopping gap) has no role: the search stops at
+the first empty cut, not at a gap. Each component's network (with its
+Lemma-8 mask) is built once, and again only when the component shrinks
+to a higher core; the probes in between warm-start from the flow of the
+previous cut (see ``repro.densest.network``).
 
-One printed-algorithm fix (documented in DESIGN.md): ``u`` is reset to
-``k_max`` per component — a cut certificate "no subgraph denser than
-alpha in C" says nothing about other components — and D starts as the
-best residual/ component, so the boundary case rho_opt == rho'' returns
-the optimum instead of the empty set.
+D starts as the best residual/component set, so the boundary case
+rho_opt == rho'' returns the optimum instead of the empty set (the
+printed Algorithm 4 returns the empty set there; DESIGN.md).
 """
 from __future__ import annotations
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.cores.clique_core import instances_inside, peel_decompose
-from repro.densest.common import DSDResult, exact_density, gather
+from repro.densest.common import DSDResult, certificate, exact_density, gather
 from repro.densest.network import build_network, lemma8_keep_mask, min_cut_vertices
 from repro.graph.ops import components_pandas, edge_array
 from repro.patterns.base import Pattern
-
-
-def _ceil(x: float) -> int:
-    return int(math.ceil(x - 1e-9))
 
 
 def core_exact(
@@ -51,7 +48,6 @@ def core_exact(
     pattern: Pattern,
     use_p1: bool = True,
     use_p2: bool = True,
-    use_p3: bool = True,
     use_lemma8: bool = True,
 ) -> DSDResult:
     t_start = time.perf_counter()
@@ -78,9 +74,12 @@ def core_exact(
         "iterations": 0,
     }
     if kmax == 0 or n < 2:
+        # no instances: every set has density 0
         verts = pr.best_vertices or allv[:1]
+        dens = exact_density(members, verts)
+        stats["certificate"] = certificate(verts, dens, dens)
         return DSDResult(
-            "CoreExact", pattern.name, sorted(verts), exact_density(members, verts),
+            "CoreExact", pattern.name, sorted(verts), float(dens),
             kmax=kmax,
             timings={"enumerate": t_enum, "decompose": t_dec, "flow": 0.0,
                      "total": time.perf_counter() - t_start},
@@ -108,93 +107,83 @@ def core_exact(
         return list(groups.values())
 
     t2 = time.perf_counter()
-    # -- tighter bounds + localization -------------------------------------
-    l = kmax / p
-    k_loc = _ceil(kmax / p)
+    # -- tighter bounds + localization (exact fractions) --------------------
+    # best starts as the peel's best residual set, whose density is rho'
     best = list(pr.best_vertices) if pr.best_vertices else allv[:1]
     best_d = exact_density(members, best)
+    l = Fraction(kmax, p)
     if use_p1:
-        l = max(l, pr.rho_prime)
-        k_loc = max(k_loc, _ceil(pr.rho_prime))
+        l = max(l, best_d)
+    k_loc = math.ceil(l)
 
     comps = comps_of(core_vertices(k_loc))
     if use_p2:
-        rho2, k2 = l, k_loc
         for c in comps:
             d = exact_density(members, c)
-            if d > rho2:
-                rho2 = d
+            l = max(l, d)
             if d > best_d:
                 best_d, best = d, sorted(c)
-        k2 = max(k_loc, _ceil(rho2))
-        l = max(l, rho2)
-        if k2 > k_loc:
-            k_loc = k2
+        if math.ceil(l) > k_loc:
+            k_loc = math.ceil(l)
             comps = comps_of(core_vertices(k_loc))
     t_locate = time.perf_counter() - t2
 
-    def network_for(cset: set, alpha: float) -> tuple:
+    def network_for(cset: set, alpha: Fraction) -> tuple:
         """Flow network of G[cset] at ``alpha``, Lemma-8 pruned."""
         mem_c = members[instances_inside(members, cset)]
         keep = lemma8_keep_mask(mem_c, len(cset)) if use_lemma8 else None
         stats["network_builds"] += 1
         return build_network(cset, mem_c, alpha, p, grouped=grouped, keep_mask=keep)
 
-    def solve(nw: tuple, alpha: float) -> list:
+    def solve(nw: tuple, alpha: Fraction) -> list:
         net, s, t, vid2node, n_nodes = nw
         net.set_alpha(alpha)
         stats["network_sizes"].append(n_nodes)
         stats["iterations"] += 1
         return min_cut_vertices(net, s, t, vid2node)
 
-    # -- per-component binary search ----------------------------------------
+    # -- per-component Dinkelbach search --------------------------------------
+    # alpha never falls: each component starts at l, the highest density
+    # reached so far. A component is done when no set of it is denser
+    # than its alpha: the cut at alpha is empty, or the ceil(alpha)-core
+    # part of it has fewer than two vertices.
     t3 = time.perf_counter()
     for comp in comps:
         cset = set(comp)
         cur_k = k_loc
-        if _ceil(l) > cur_k:
-            cur_k = _ceil(l)
+        alpha = l
+        if math.ceil(alpha) > cur_k:
+            cur_k = math.ceil(alpha)
             cset &= core_vertices(cur_k)
         if len(cset) < 2:
             continue
-        u = float(kmax)
-        nw = network_for(cset, l)
-
-        # feasibility probe at alpha = l (Alg. 4 lines 8-10)
-        cut = solve(nw, l)
-        if not cut:
-            continue
-        d = exact_density(members, cut)
-        if d > best_d:
-            best_d, best = d, sorted(cut)
+        nw = network_for(cset, alpha)
         while True:
-            nc = len(cset)
-            gap = 1.0 / (nc * (nc - 1)) if use_p3 else 1.0 / (n * (n - 1))
-            if u - l < gap or nc < 2:
-                break
-            alpha = (l + u) / 2.0
             cut = solve(nw, alpha)
             if not cut:
-                u = alpha
-            else:
-                l = alpha
-                d = exact_density(members, cut)
-                if d > best_d:
-                    best_d, best = d, sorted(cut)
-                if _ceil(l) > cur_k:
-                    cur_k = _ceil(l)
-                    smaller = cset & core_vertices(cur_k)
-                    if len(smaller) < len(cset):
-                        cset = smaller
-                        if len(cset) >= 2:
-                            nw = network_for(cset, l)
+                break
+            alpha = exact_density(members, cut)  # > the alpha just probed
+            if alpha > best_d:
+                best_d, best = alpha, sorted(cut)
+            if math.ceil(alpha) > cur_k:
+                # the densest set, if denser than alpha, has every
+                # clique-degree >= its density: it is in the ceil(alpha)-core
+                cur_k = math.ceil(alpha)
+                smaller = cset & core_vertices(cur_k)
+                if len(smaller) < 2:
+                    break
+                if len(smaller) < len(cset):
+                    cset = smaller
+                    nw = network_for(cset, alpha)
+        l = max(l, alpha)
+    stats["certificate"] = certificate(best, best_d, l)
     t_flow = time.perf_counter() - t3
 
     return DSDResult(
         "CoreExact",
         pattern.name,
         best,
-        best_d,
+        float(best_d),
         kmax=kmax,
         timings={
             "enumerate": t_enum,

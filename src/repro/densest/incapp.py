@@ -27,7 +27,7 @@ def inc_app(
         "IncApp",
         pattern.name,
         core_verts,
-        exact_density(members, core_verts),
+        float(exact_density(members, core_verts)),
         kmax=pr.kmax,
         timings={
             "enumerate": t_enum,

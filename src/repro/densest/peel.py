@@ -31,7 +31,7 @@ def peel_app(
         "PeelApp",
         pattern.name,
         sorted(verts),
-        exact_density(members, verts),
+        float(exact_density(members, verts)),
         kmax=pr.kmax,
         timings={
             "enumerate": t_enum,

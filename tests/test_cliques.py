@@ -133,17 +133,21 @@ def test_driver_cliques_of_empty_edge_array(h):
 
 
 @pytest.mark.parametrize("h", [3, 4, 5])
-def test_driver_cliques_with_ids_beyond_int32(rand_graph, h):
-    """Ids offset by 2^40 give the same cliques, shifted: the lister works
-    in rank space, so its edge keys never see the raw ids."""
+def test_driver_cliques_with_ids_beyond_int32(spark, rand_graph, h):
+    """Ids offset by 2^40 give the same cliques, shifted, from both
+    listers: the driver lister works in rank space, so its edge keys never
+    see the raw ids, and the Spark plan keeps every id column a long."""
     _, pdf = rand_graph
     arr = pdf[["src", "dst"]].to_numpy(dtype=np.int64)
     off = 1 << 40
-    got = clique_members(arr + off, h)
-    assert {frozenset(r) for r in got} == {
+    driver = clique_members(arr + off, h)
+    assert {frozenset(r) for r in driver} == {
         frozenset(v + off for v in c) for c in brute_cliques(pdf, h)
     }
-    assert np.array_equal(got, clique_members(arr, h) + off)
+    assert np.array_equal(driver, clique_members(arr, h) + off)
+    # the Spark plan lists the same rows, each in the same rank order
+    got = list_cliques(spark, edges_from_pandas(spark, pdf + off), h, "spark")
+    assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, driver.tolist()))
 
 
 @pytest.mark.parametrize("h", [3, 4])

@@ -1,11 +1,15 @@
-"""CoreExact (Algorithm 4) == Exact == brute force; pruning ablation."""
+"""CoreExact (Algorithm 4) == Exact == brute force; pruning ablation;
+optimality certificates."""
+from fractions import Fraction
+
 import pandas as pd
 import pytest
 
 from repro.densest.bruteforce import brute_force_densest
-from repro.densest.common import gather
+from repro.densest.common import exact_density, gather
 from repro.densest.core_exact import core_exact
 from repro.densest.exact import exact_densest
+from repro.densest.network import build_network, min_cut_vertices
 from repro.graph import generators as gen
 from repro.graph.ops import edges_from_pandas
 from repro.patterns import clique, diamond, edge, star, triangle, two_triangle
@@ -37,13 +41,12 @@ def test_core_exact_matches_exact_medium(spark, seed, pat):
 @pytest.mark.parametrize(
     "flags",
     [
-        dict(use_p1=True, use_p2=False, use_p3=False),
-        dict(use_p1=False, use_p2=True, use_p3=False),
-        dict(use_p1=False, use_p2=False, use_p3=True),
-        dict(use_p1=False, use_p2=False, use_p3=False),
+        dict(use_p1=True, use_p2=False),
+        dict(use_p1=False, use_p2=True),
+        dict(use_p1=False, use_p2=False),
         dict(use_lemma8=False),
     ],
-    ids=["P1", "P2", "P3", "none", "noL8"],
+    ids=["P1", "P2", "none", "noL8"],
 )
 def test_pruning_variants_agree(spark, flags):
     pdf = gen.erdos_renyi_pandas(14, 0.35, seed=6)
@@ -52,6 +55,32 @@ def test_pruning_variants_agree(spark, flags):
     full = core_exact(spark, g, pat)
     variant = core_exact(spark, g, pat, **flags)
     assert variant.density == pytest.approx(full.density, abs=1e-9)
+
+
+CERT_PATTERNS = [edge(), triangle(), diamond()]
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+@pytest.mark.parametrize("pat", CERT_PATTERNS, ids=[p.name for p in CERT_PATTERNS])
+def test_certificate_proves_optimality(spark, seed, pat):
+    """Exact and CoreExact certify their answer S: rho(S) is the brute-force
+    optimum as a fraction, and the whole graph's min cut at alpha = rho(S)
+    is empty, which proves no set is denser."""
+    pdf = gen.erdos_renyi_pandas(12, 0.45, seed=seed)
+    g = edges_from_pandas(spark, pdf)
+    allv, members = gather(spark, g, pat)
+    bf_set, _ = brute_force_densest(members, allv)
+    optimum = exact_density(members, bf_set)
+    for res in (exact_densest(spark, g, pat), core_exact(spark, g, pat)):
+        cert = res.stats["certificate"]
+        rho = Fraction(cert["density"])
+        assert cert["vertices"] == sorted(res.vertices), res.algorithm
+        assert rho == exact_density(members, res.vertices) == optimum, res.algorithm
+        assert Fraction(cert["alpha"]) == rho, res.algorithm
+        assert res.density == float(rho)
+        net, s, t, v2n, _ = build_network(allv, members, rho, pat.nv,
+                                          grouped=pat.kind != "clique")
+        assert min_cut_vertices(net, s, t, v2n) == [], res.algorithm
 
 
 def test_boundary_disjoint_equal_cliques(spark):

@@ -115,25 +115,13 @@ def test_maxflow_equals_brute_min_cut(seed):
     assert 0 in S and (n - 1) not in S
 
 
-_EPS_DEFECT = (
-    "ROADMAP item 2: Dinic compares float capacities against EPS = 1e-9, so "
-    "a cut this close to rho* reads as empty"
-)
-
-
-@pytest.mark.parametrize(
-    "n, f",
-    [
-        (20_020, 0.5),
-        pytest.param(20_020, 0.1, marks=pytest.mark.xfail(strict=True, reason=_EPS_DEFECT)),
-        pytest.param(60_020, 0.5, marks=pytest.mark.xfail(strict=True, reason=_EPS_DEFECT)),
-    ],
-)
+@pytest.mark.parametrize("n, f", [(20_020, 0.5), (20_020, 0.1), (60_020, 0.5)])
 def test_cut_exact_at_stopping_gap(n, f):
     """K20 with a path of n - 20 vertices hanging off it, edge pattern:
     rho* = 9.5 and the K20 is the only set denser than any alpha < rho*.
-    At alpha = rho* - f * gap, gap = 1/(n(n-1)) being the binary search's
-    stopping gap, the min cut must be exactly the K20."""
+    At alpha = rho* - f * gap, gap = 1/(n(n-1)) being the stopping gap of
+    Algorithm 1's binary search, the min cut must be exactly the K20. The
+    float alpha is taken exactly, so the cut is decided on integers."""
     k20 = gen.clique_pandas(range(20))[["src", "dst"]].to_numpy(np.int64)
     path = np.arange(20, n)
     tail = np.stack([np.r_[0, path[:-1]], path], axis=1)
