@@ -10,12 +10,18 @@ present. Level h is built from level h-1 by extending each tuple with
 the out-neighbours of its last vertex, then testing the h-2 other
 memberships.
 
+* ``orient`` computes that orientation on the driver, as an array
+  kernel over the (m, 2) edge array. It is the one place the rank is
+  decided; both listers read its DAG.
 * ``clique_instances`` is the Spark plan: one extension join plus h-2
   membership semi-joins per level, all equi-joins Catalyst can
-  shuffle-plan. The orientation and the levels are each one Spark SQL
-  statement, so each plan is parsed and analysed once rather than once
-  per DataFrame call. Only the DAG is checkpointed; the levels form one
-  plan that runs when the caller collects or counts it.
+  shuffle-plan, written as one Spark SQL statement so the plan is parsed
+  and analysed once. For h >= 3 it holds the edge array on the driver
+  (collecting it unless the caller passes it), orients it there, and
+  ships the DAG to Spark as one checkpointed DataFrame: the levels'
+  broadcast joins build the whole DAG on the driver anyway, and four
+  Spark jobs of a SQL orientation cost more than the array kernel. The
+  levels form one plan that runs when the caller collects or counts it.
 * ``clique_members`` is the same listing over an edge array the driver
   already holds, for subgraphs small enough to collect (CoreApp's
   top-W rounds). Membership is a ``searchsorted`` on sorted edge keys.
@@ -23,31 +29,32 @@ memberships.
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
+from repro.graph.ops import edge_array, vertices
 
-def oriented_edges(edges: DataFrame) -> DataFrame:
-    """Degree-ordered orientation — columns (a, b), rank(a) < rank(b).
+
+# DAG rows per partition: 64 MiB of (long, long), Spark's default advisory
+# partition size, to which AQE coalesces a shuffled DAG. A small DAG is one
+# partition, so each level job runs one task, not one per pandas slice.
+_DAG_ROWS_PER_PARTITION = 1 << 22
+
+
+def orient(edge_arr: np.ndarray) -> np.ndarray:
+    """Degree-ordered orientation of an (m, 2) edge array — (m, 2) int64.
 
     rank(v) = (deg(v), v): ties broken by id, so the orientation is a
-    total order and acyclic. One SQL statement: each canonical edge
-    (src < dst) keeps its direction when rank(src) < rank(dst) and is
-    flipped otherwise.
+    total order and acyclic. Each row is flipped, where needed, so that
+    rank(a) < rank(b). Row order is kept.
     """
-    return edges.sparkSession.sql(
-        """
-        WITH deg AS (
-          SELECT v, COUNT(*) AS d
-          FROM (SELECT src AS v FROM {e} UNION ALL SELECT dst AS v FROM {e})
-          GROUP BY v
-        ), ranked AS (
-          SELECT e.src, e.dst, (ds.d < dd.d OR (ds.d = dd.d AND e.src < e.dst)) AS fwd
-          FROM {e} e JOIN deg ds ON e.src = ds.v JOIN deg dd ON e.dst = dd.v
-        )
-        SELECT IF(fwd, src, dst) AS a, IF(fwd, dst, src) AS b FROM ranked
-        """,
-        e=edges,
-    )
+    edge_arr = np.asarray(edge_arr, dtype=np.int64).reshape(-1, 2)
+    vs, inv = np.unique(edge_arr, return_inverse=True)
+    deg = np.bincount(inv.ravel(), minlength=len(vs))
+    rank = np.empty(len(vs), dtype=np.int64)
+    rank[np.lexsort((vs, deg))] = np.arange(len(vs))
+    r = rank[inv.reshape(-1, 2)]
+    return np.where((r[:, 0] > r[:, 1])[:, None], edge_arr[:, ::-1], edge_arr)
 
 
 def _levels_sql(h: int) -> str:
@@ -69,23 +76,31 @@ def _levels_sql(h: int) -> str:
     return f"SELECT {cols} FROM {{dag}} x2 " + " ".join(joins)
 
 
-def clique_instances(spark: SparkSession, edges: DataFrame, h: int) -> DataFrame:
+def clique_instances(
+    spark: SparkSession, edges: DataFrame, h: int, edge_arr: np.ndarray | None = None
+) -> DataFrame:
     """All h-clique instances — columns v1..vh, one row each.
 
     h=1 returns the vertex set. h=2 returns the canonical edges as
     (v1, v2) = (src, dst), with no orientation. For h >= 3 the columns
     are in rank order, and each instance appears exactly once because
-    tuples follow the orientation's total order.
+    tuples follow the orientation's total order. The orientation runs on
+    ``edge_arr``, ``edges`` collected to the driver (pass it when the
+    caller already holds it; either way the rows are the same).
     """
     if h < 1:
         raise ValueError("h must be >= 1")
     if h == 1:
-        from repro.graph.ops import vertices
-
         return vertices(edges).select(F.col("v").alias("v1"))
     if h == 2:
         return edges.select(F.col("src").alias("v1"), F.col("dst").alias("v2"))
-    dag = oriented_edges(edges).localCheckpoint(eager=True)
+    if edge_arr is None:
+        edge_arr = edge_array(edges)
+    arcs = orient(edge_arr)
+    dag = spark.createDataFrame(pd.DataFrame(arcs, columns=["a", "b"]), "a long, b long")
+    # checkpointed, or each level's broadcast re-reads the pandas rows
+    parts = max(1, -(-len(arcs) // _DAG_ROWS_PER_PARTITION))
+    dag = dag.coalesce(parts).localCheckpoint(eager=True)
     return spark.sql(_levels_sql(h), dag=dag)
 
 
@@ -94,8 +109,8 @@ def clique_members(edge_arr: np.ndarray, h: int) -> np.ndarray:
 
     The driver rendition of ``clique_instances``: h=2 returns the edges
     themselves; for h >= 3 each row lists one clique in (degree, id)
-    rank order. Vertices are renumbered to their ranks 0..n-1 first, so
-    edge keys ``a * n + b`` fit in int64 whatever the vertex ids are.
+    rank order. Vertices are renumbered to 0..n-1 first, so edge keys
+    ``a * n + b`` fit in int64 whatever the vertex ids are.
     """
     if h < 2:
         raise ValueError("h must be >= 2")
@@ -104,14 +119,9 @@ def clique_members(edge_arr: np.ndarray, h: int) -> np.ndarray:
         return edge_arr
     if len(edge_arr) == 0:
         return np.empty((0, h), dtype=np.int64)
-    vs, inv = np.unique(edge_arr, return_inverse=True)
+    vs, inv = np.unique(orient(edge_arr), return_inverse=True)
     n = len(vs)
-    ends = inv.reshape(-1, 2)
-    deg = np.bincount(inv.ravel(), minlength=n)
-    by_rank = np.lexsort((vs, deg))  # rank -> vertex index
-    rank = np.empty(n, dtype=np.int64)
-    rank[by_rank] = np.arange(n)
-    ab = np.sort(rank[ends], axis=1)  # oriented: rank(a) < rank(b)
+    ab = inv.reshape(-1, 2)  # the DAG's arcs, as indices into vs
     keys = np.sort(ab[:, 0] * n + ab[:, 1])
     # out-neighbour lists in CSR form, read off the sorted keys
     tail, out_nbr = keys // n, keys % n
@@ -130,5 +140,5 @@ def clique_members(edge_arr: np.ndarray, h: int) -> np.ndarray:
             hit = keys[pos] == want
             cur, nxt = cur[hit], nxt[hit]
         cur = np.concatenate([cur, nxt[:, None]], axis=1)
-    return vs[by_rank[cur]]
+    return vs[cur]
 

@@ -12,8 +12,8 @@
   core numbers (cross-checked in tests).
 * ``peel_decompose``             — the one exact driver-side peel
   (Algorithm 3), also producing everything CoreExact/PeelApp/IncApp/CoreApp
-  need: peel order, best residual density (rho') and prefix, kmax and the
-  kmax-core.
+  need: peel order, the densest residual subgraph (whose density is rho'),
+  kmax and the kmax-core.
 
 All three take any pattern, so with Psi = edge (Def. 6 reduces to Def. 5)
 they are also the classical k-core and core numbers: EMcore and CoreApp's
@@ -153,8 +153,7 @@ class PeelResult:
     order: list  # removal order (all vertices)
     kmax: int
     kmax_core: list  # sorted vertices with core == kmax; empty when kmax == 0
-    rho_prime: float  # max density over all residual subgraphs (incl. G)
-    best_vertices: list  # residual subgraph achieving rho_prime (PeelApp's S*)
+    best_vertices: list  # densest residual subgraph, G included (PeelApp's S*)
     n_instances: int
 
 
@@ -238,7 +237,6 @@ def peel_decompose(members: np.ndarray, all_vertices) -> PeelResult:
         order=order,
         kmax=kmax,
         kmax_core=[v for v, c in zip(vl, core) if c == kmax] if kmax else [],
-        rho_prime=best_density,
         best_vertices=sorted(best_vertices),
         n_instances=ninst,
     )

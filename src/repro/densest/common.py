@@ -39,12 +39,14 @@ def gather(
     """(all_vertex_ids, member_matrix) — the driver-side problem instance.
 
     The vertex ids are sorted ascending, read off the edge array (pass
-    ``edge_arr`` when the caller already collected it). The instances are
-    enumerated on Spark and collected once.
+    ``edge_arr`` when the caller already collected it). The edge array is
+    collected first, so the clique matcher orients it without a second
+    collect; the instances are enumerated on Spark and collected once.
     """
-    members = collect_instances(pattern_instances(spark, edges, pattern), pattern)
     if edge_arr is None:
         edge_arr = edge_array(edges)
+    inst = pattern_instances(spark, edges, pattern, edge_arr=edge_arr)
+    members = collect_instances(inst, pattern)
     allv = np.unique(edge_arr).tolist()
     return allv, members
 

@@ -23,7 +23,8 @@ EDGE_COLS = ("src", "dst")
 def edges_from_pandas(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
     """Create a canonical edge DataFrame from a pandas frame with src/dst."""
     out = pdf[["src", "dst"]].astype("int64")
-    return normalize_edges(spark.createDataFrame(out))
+    # an explicit schema, since an empty frame leaves none to infer
+    return normalize_edges(spark.createDataFrame(out, "src long, dst long"))
 
 
 def normalize_edges(edges: DataFrame) -> DataFrame:

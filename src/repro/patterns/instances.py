@@ -2,8 +2,11 @@
 
 ``pattern_instances`` returns a DataFrame with
 
-* ``iid``   — a 64-bit identity of the instance (hash of its canonical
-  edge set; two automorphic matches collapse to one row), and
+* ``iid``   — the instance's identity: the matcher's canonical member
+  tuple ``struct(v1..vp)``, or for the generic matcher the sorted edge
+  set it deduplicates on (two automorphic matches collapse to one row).
+  It is the key itself, not a hash of it, so no collision can merge two
+  instances; and
 * ``v1..vp`` — the p = |V_Psi| member vertices.
 
 Specialized matchers (cliques, stars, diamond = C4, 2-triangle = K4-e)
@@ -14,6 +17,7 @@ the subgraph-matching substrate the paper takes from [38].
 """
 from __future__ import annotations
 
+import numpy as np
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
 from repro.cliques.enumerate import clique_instances
@@ -22,15 +26,17 @@ from repro.patterns.base import Pattern
 
 
 def _with_iid(df: DataFrame, cols) -> DataFrame:
-    return df.withColumn("iid", F.xxhash64(*cols)).select("iid", *cols)
+    return df.withColumn("iid", F.struct(*cols)).select("iid", *cols)
 
 
 def _adj(edges: DataFrame) -> DataFrame:
     return symmetrize(edges)  # (u, v) both directions
 
 
-def _clique_inst(spark: SparkSession, edges: DataFrame, h: int) -> DataFrame:
-    inst = clique_instances(spark, edges, h)
+def _clique_inst(
+    spark: SparkSession, edges: DataFrame, h: int, edge_arr: np.ndarray | None
+) -> DataFrame:
+    inst = clique_instances(spark, edges, h, edge_arr=edge_arr)
     return _with_iid(inst, [f"v{i}" for i in range(1, h + 1)])
 
 
@@ -163,7 +169,7 @@ def _generic_inst(spark: SparkSession, edges: DataFrame, pattern: Pattern) -> Da
     )
     uniq = cur.groupBy("ekey").agg(F.first("members").alias("members"))
     out = uniq.select(
-        F.xxhash64("ekey").alias("iid"),
+        F.col("ekey").alias("iid"),
         *[
             F.element_at("members", i + 1).alias(f"v{i + 1}")
             for i in range(pattern.nv)
@@ -172,10 +178,20 @@ def _generic_inst(spark: SparkSession, edges: DataFrame, pattern: Pattern) -> Da
     return out
 
 
-def pattern_instances(spark: SparkSession, edges: DataFrame, pattern: Pattern) -> DataFrame:
-    """All instances of ``pattern`` in G — columns (iid, v1..vp)."""
+def pattern_instances(
+    spark: SparkSession,
+    edges: DataFrame,
+    pattern: Pattern,
+    edge_arr: np.ndarray | None = None,
+) -> DataFrame:
+    """All instances of ``pattern`` in G — columns (iid, v1..vp).
+
+    ``edge_arr`` is ``edges`` already collected to the driver; the clique
+    matcher orients it instead of collecting again. The rows are the same
+    either way.
+    """
     if pattern.kind == "clique":
-        return _clique_inst(spark, edges, pattern.h)
+        return _clique_inst(spark, edges, pattern.h, edge_arr)
     if pattern.kind == "star":
         return _star_inst(spark, edges, pattern.nv - 1)
     if pattern.kind == "diamond":

@@ -12,6 +12,7 @@ from repro.cores.clique_core import (
     instances_inside,
     peel_decompose,
 )
+from repro.densest.common import exact_density
 from repro.graph import generators as gen
 from repro.graph.ops import edges_from_pandas
 from repro.patterns import clique, diamond, star, triangle, two_triangle
@@ -59,7 +60,7 @@ def test_peel_tracks_rho_prime():
     es = pdf.to_numpy()
     pr = peel_decompose(es, sorted(set(pdf["src"]) | set(pdf["dst"])))
     assert pr.kmax == 4
-    assert abs(pr.rho_prime - 2.0) < 1e-9
+    assert exact_density(es, pr.best_vertices) == 2
     assert pr.best_vertices == [0, 1, 2, 3, 4]
 
 
@@ -77,6 +78,22 @@ def test_hindex_matches_peel(spark, seed, pat):
     }
     pr = peel_decompose(members, allv)
     assert got == pr.core
+
+
+def test_hindex_needs_no_hash(spark, monkeypatch):
+    """Instance identity is the member tuple, not a 64-bit hash: with
+    every xxhash64 colliding, the core numbers still equal the peel's."""
+    from pyspark.sql import functions as F
+
+    monkeypatch.setattr(F, "xxhash64", lambda *cols: F.lit(0).cast("long"))
+    pdf = gen.erdos_renyi_pandas(20, 0.35, seed=0)
+    g, inst, members, allv = _gather(spark, pdf, triangle())
+    assert len(members) > 1
+    got = {
+        r["v"]: r["core"]
+        for r in clique_core_numbers_hindex(spark, g, triangle(), inst=inst).collect()
+    }
+    assert got == peel_decompose(members, allv).core
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -147,4 +164,4 @@ def test_empty_instances():
     pr = peel_decompose(members, [1, 2, 3])
     assert pr.kmax == 0
     assert pr.core == {1: 0, 2: 0, 3: 0}
-    assert pr.rho_prime == 0.0
+    assert exact_density(members, pr.best_vertices) == 0

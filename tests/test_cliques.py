@@ -7,7 +7,8 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.cliques.enumerate import clique_instances, clique_members, oriented_edges
+from repro.cliques.enumerate import clique_instances, clique_members, orient
+from repro.densest.common import gather
 from repro.graph import generators as gen
 from repro.graph.ops import edge_array, edges_from_pandas
 from repro.oracle import assert_equivalent
@@ -68,17 +69,23 @@ def rand_graph(spark):
 
 
 def test_oriented_edges_once_per_edge(rand_graph):
-    g, pdf = rand_graph
-    assert oriented_edges(g).count() == len(pdf)
+    _, pdf = rand_graph
+    for off in (0, 1 << 40):
+        arr = pdf[["src", "dst"]].to_numpy(dtype=np.int64) + off
+        dag = orient(arr)
+        assert dag.shape == arr.shape and dag.dtype == np.int64
+        assert np.array_equal(np.sort(dag, axis=1), np.sort(arr, axis=1))
 
 
 def test_oriented_edges_acyclic_rank(rand_graph):
-    g, _ = rand_graph
-    from repro.graph.ops import degrees
-
-    deg = {r["v"]: r["deg"] for r in degrees(g).collect()}
-    for r in oriented_edges(g).collect():
-        assert (deg[r["a"]], r["a"]) < (deg[r["b"]], r["b"])
+    _, pdf = rand_graph
+    for off in (0, 1 << 40):
+        arr = pdf[["src", "dst"]].to_numpy(dtype=np.int64) + off
+        deg = {}
+        for v in arr.ravel().tolist():
+            deg[v] = deg.get(v, 0) + 1
+        for a, b in orient(arr).tolist():
+            assert (deg[a], a) < (deg[b], b)
 
 
 @pytest.mark.parametrize("h,lister", lister_cases([2, 3, 4, 5, 6, 7]))
@@ -124,6 +131,36 @@ def test_clique_instances_vs_bruteforce(spark, rand_graph, h, lister):
     want_sets = {frozenset(c) for c in brute_cliques(pdf, h)}
     assert got_sets == want_sets
     assert len(got_sets) == len(got)  # no clique listed twice
+
+
+@pytest.mark.parametrize("h", [3, 4, 5])
+def test_clique_instances_same_rows_with_edge_array(spark, h):
+    """Passing the edge array only saves a collect: same rows, same order."""
+    g = edges_from_pandas(spark, gen.erdos_renyi_pandas(25, 0.45, seed=42))
+    own = clique_instances(spark, g, h).collect()
+    held = clique_instances(spark, g, h, edge_arr=edge_array(g)).collect()
+    assert own == held and len(own) > 0
+
+
+def test_gather_clique_spark_jobs(spark, rand_graph):
+    """A 5-clique gather is one edge collect, the DAG checkpoint and the
+    levels' jobs: at most 5 Spark jobs (8 with a Spark SQL orientation).
+    Counted as the benchmark runs it: on a checkpointed graph, and with
+    its broadcast threshold, under which the levels are broadcast joins
+    (shuffle joins add a job per stage)."""
+    g = rand_graph[0].localCheckpoint(eager=True)
+    sc = spark.sparkContext
+    group = "test-gather-clique-jobs"
+    threshold = spark.conf.get("spark.sql.autoBroadcastJoinThreshold")
+    spark.conf.set("spark.sql.autoBroadcastJoinThreshold", str(10 * 1024 * 1024))
+    sc.setJobGroup(group, "gather 5-clique")
+    try:
+        _, members = gather(spark, g, clique(5))
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        spark.conf.set("spark.sql.autoBroadcastJoinThreshold", threshold)
+    assert members.shape[1] == 5
+    assert 0 < len(sc.statusTracker().getJobIdsForGroup(group)) <= 5
 
 
 @pytest.mark.parametrize("h", [2, 3, 5])

@@ -3,6 +3,7 @@ import networkx as nx
 import pandas as pd
 import pytest
 
+from repro.cliques.enumerate import clique_instances
 from repro.graph import generators as gen
 from repro.graph.ops import (
     components_pandas,
@@ -31,6 +32,16 @@ def test_normalize_dedupes_and_orients(spark):
     )
     out = normalize_edges(raw).toPandas().sort_values(["src", "dst"])
     assert out.values.tolist() == [[1, 2], [3, 4], [7, 8]]
+
+
+def test_edges_from_empty_frame(spark):
+    """An empty edge frame is a graph with no edges, not an error; the
+    Spark clique plan ships and lists its empty DAG."""
+    g = edges_from_pandas(spark, pd.DataFrame({"src": [], "dst": []}))
+    assert g.count() == 0
+    assert dict(g.dtypes) == {"src": "bigint", "dst": "bigint"}
+    tri = clique_instances(spark, g, 3).toPandas()
+    assert tri.shape == (0, 3)
 
 
 def test_normalize_drops_self_loops(spark):

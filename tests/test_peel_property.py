@@ -13,10 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cores.clique_core import (
     PeelResult,
-    density_of,
     instances_inside,
     peel_decompose,
 )
+from repro.densest.common import exact_density
 
 
 def reference_peel(members: np.ndarray, all_vertices) -> PeelResult:
@@ -80,7 +80,6 @@ def reference_peel(members: np.ndarray, all_vertices) -> PeelResult:
         order=order,
         kmax=kmax,
         kmax_core=sorted(v for v, c in core_map.items() if c == kmax and kmax > 0),
-        rho_prime=best_density,
         best_vertices=sorted(best_vertices),
         n_instances=ninst,
     )
@@ -179,18 +178,19 @@ def test_kmax_is_maximal(members_list):
 @settings(max_examples=60, deadline=None)
 @given(instances_strategy)
 def test_rho_prime_is_max_residual_density(members_list):
+    """rho' is the density of ``best_vertices``: exactly the largest
+    residual density along the recorded peel order, G included."""
     members = _mk(members_list)
     allv = list(range(12))
     pr = peel_decompose(members, allv)
     # recompute residual densities from the recorded order
-    best = density_of(members, set(allv))
+    best = exact_density(members, allv)
     remaining = list(allv)
     order = pr.order
     for v in order[:-1]:
         remaining.remove(v)
-        best = max(best, density_of(members, set(remaining)))
-    assert abs(pr.rho_prime - best) < 1e-9
-    assert abs(density_of(members, set(pr.best_vertices)) - best) < 1e-9
+        best = max(best, exact_density(members, remaining))
+    assert exact_density(members, pr.best_vertices) == best
 
 
 @settings(max_examples=60, deadline=None)
