@@ -12,7 +12,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.cores.clique_core import collect_instances, peel_decompose
+from repro.cores.clique_core import collect_instances, core_decompose
 from repro.graph import datasets as ds
 from repro.graph.ops import components_pandas
 from repro.patterns import triangle
@@ -29,7 +29,7 @@ def run(spark: SparkSession, names=None, triangle_stats: bool = True) -> pd.Data
         paper_n, paper_m = ds.paper_size(name)
         roots = components_pandas(pdf)
         n_cc = len(set(roots.values()))
-        kmax = peel_decompose(pdf[["src", "dst"]].to_numpy(np.int64), allv).kmax
+        kmax = core_decompose(pdf[["src", "dst"]].to_numpy(np.int64), allv).kmax
         row = {
             "dataset": name,
             "vertices": n,
@@ -44,7 +44,7 @@ def run(spark: SparkSession, names=None, triangle_stats: bool = True) -> pd.Data
             g = ds.dataset(spark, name)
             inst = pattern_instances(spark, g, triangle())
             members = collect_instances(inst, triangle())
-            pr = peel_decompose(members, allv)
+            pr = core_decompose(members, allv)
             row["kmax_triangle"] = pr.kmax
             row["tri_core_size"] = len(pr.kmax_core)
         rows.append(row)

@@ -62,6 +62,9 @@ def run(
                 "total_s": t["total"],
                 "density": res.density,
                 "kmax": res.kmax,
+                # CoreExact's localization: the located core and its parts
+                "located_vertices": res.stats["located_vertices"],
+                "components": res.stats["components"],
             }
             if ex_runs:
                 assert all(abs(ex.density - res.density) < 1e-6 for ex in ex_runs), (name, h)

@@ -17,7 +17,9 @@ from pyspark.sql import SparkSession  # noqa: E402
 spark = (
     SparkSession.builder.appName("experiments")
     .config("spark.sql.shuffle.partitions", "32")
-    .config("spark.sql.autoBroadcastJoinThreshold", -1)
+    # the benchmark's 10 MiB threshold (perfbench/run.py::spark_confs), so
+    # the kClist levels run as broadcast joins, as they do there
+    .config("spark.sql.autoBroadcastJoinThreshold", 10 * 1024 * 1024)
     .config("spark.ui.showConsoleProgress", "false")
     .config("spark.sql.execution.arrow.pyspark.enabled", "true")
     .getOrCreate()

@@ -10,14 +10,17 @@
   distributed rendition of the AND nucleus-decomposition algorithm [46] that
   the paper benchmarks as "Nucleus", and it converges to exactly the peeling
   core numbers (cross-checked in tests).
-* ``peel_decompose``             — the one exact driver-side peel
-  (Algorithm 3), also producing everything CoreExact/PeelApp/IncApp/CoreApp
-  need: peel order, the densest residual subgraph (whose density is rho'),
-  kmax and the kmax-core.
+* ``core_decompose``             — the exact driver-side core decomposition
+  (Algorithm 3) by level-synchronous peeling, producing what
+  CoreExact/IncApp/CoreApp/EMcore need: core numbers, kmax, the kmax-core
+  and the densest (k,Psi)-core (whose density is rho').
+* ``peel_decompose``             — the one-vertex-at-a-time heap peel of
+  PeelApp (Algorithm 2): the same core numbers, plus the peel order and
+  its densest residual prefix.
 
-All three take any pattern, so with Psi = edge (Def. 6 reduces to Def. 5)
+All four take any pattern, so with Psi = edge (Def. 6 reduces to Def. 5)
 they are also the classical k-core and core numbers: EMcore and CoreApp's
-gamma peel the edge array with ``peel_decompose``.
+gamma peel the edge array with ``core_decompose``.
 """
 from __future__ import annotations
 
@@ -141,20 +144,28 @@ def clique_core_numbers_hindex(
 
 
 # ---------------------------------------------------------------------------
-# Exact driver-side peeling (Algorithm 3) + everything CoreExact/PeelApp need.
+# Exact driver-side core decomposition (Algorithm 3): the level-synchronous
+# peel every core consumer reads, and PeelApp's one-vertex heap peel.
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class PeelResult:
-    """Output of a full peel of (vertices, instances)."""
+class CoreDecomposition:
+    """Core numbers of (vertices, instances) and the densest core."""
 
     core: dict  # vertex -> clique-core number
-    order: list  # removal order (all vertices)
     kmax: int
     kmax_core: list  # sorted vertices with core == kmax; empty when kmax == 0
-    best_vertices: list  # densest residual subgraph, G included (PeelApp's S*)
+    best_vertices: list  # densest residual subgraph, G included (rho')
     n_instances: int
+
+
+@dataclass
+class PeelResult(CoreDecomposition):
+    """A one-vertex-at-a-time peel: ``best_vertices`` is the densest
+    residual over every prefix of ``order`` (PeelApp's S*)."""
+
+    order: list  # removal order (all vertices)
 
 
 def collect_instances(inst: DataFrame, pattern: Pattern) -> np.ndarray:
@@ -165,8 +176,29 @@ def collect_instances(inst: DataFrame, pattern: Pattern) -> np.ndarray:
     return pdf.to_numpy(dtype=np.int64)
 
 
-def peel_decompose(members: np.ndarray, all_vertices) -> PeelResult:
-    """Exact (k,Psi)-core decomposition by min-clique-degree peeling.
+def _vertex_index(members: np.ndarray, all_vertices) -> tuple:
+    """(verts, pos, slot, deg, start): the sorted vertex ids, the flattened
+    member matrix in rank space (rank = position in ``verts``), and the CSR
+    vertex -> instance index: ``slot[start[i]:start[i + 1]]`` are the
+    flattened member slots of rank i (slot // p is the instance row), and
+    ``deg`` the clique-degrees. One stable argsort builds it.
+
+    A member id not in ``all_vertices`` raises ``ValueError``.
+    """
+    verts = np.unique(np.asarray(all_vertices, dtype=np.int64))
+    n = len(verts)
+    ids = members.ravel()
+    pos = np.searchsorted(verts, ids)
+    if ids.size and (n == 0 or (verts[np.minimum(pos, n - 1)] != ids).any()):
+        raise ValueError("an instance member is not in all_vertices")
+    slot = np.argsort(pos, kind="stable")  # member slots grouped by vertex
+    deg = np.bincount(pos, minlength=n)
+    start = np.concatenate(([0], np.cumsum(deg)))
+    return verts, pos, slot, deg, start
+
+
+def core_decompose(members: np.ndarray, all_vertices) -> CoreDecomposition:
+    """Exact (k,Psi)-core decomposition by level-synchronous peeling.
 
     ``members``: (num_inst, p) matrix of instance member vertex ids; with
     the (m, 2) edge array it is the classical core decomposition.
@@ -174,23 +206,82 @@ def peel_decompose(members: np.ndarray, all_vertices) -> PeelResult:
     including those in no instance (the density denominator counts them).
     A member id not in ``all_vertices`` raises ``ValueError``.
 
-    Vertices are peeled one at a time from a (clique-degree, rank) heap,
-    rank being the position in the sorted vertex ids, so ties go to the
-    smallest id. The vertex -> instance index is CSR: one stable argsort
-    of the rank-space member matrix.
+    At level k every alive vertex with clique-degree <= k is removed at
+    once; their alive instances die, the survivors' clique-degrees drop
+    by one per dead instance (``np.subtract.at``), and the batch repeats
+    over the vertices that dropped until none is <= k. k then jumps to the
+    smallest alive clique-degree (Dhulipala, Blelloch & Shun, "Julienne",
+    SPAA 2017). Each level costs a few numpy calls per batch, not a heap
+    operation per instance.
+
+    The residual at the start of a level is the (k,Psi)-core, so
+    ``best_vertices`` is the densest (k,Psi)-core (the largest on ties):
+    a lower bound on the optimum of at least kmax/p, but not the best
+    one-vertex residual that ``peel_decompose`` finds.
     """
-    verts = np.unique(np.asarray(all_vertices, dtype=np.int64))
+    verts, pos, slot, deg, start = _vertex_index(members, all_vertices)
     n = len(verts)
     ninst, p = members.shape
-    ids = members.ravel()
-    pos = np.searchsorted(verts, ids)
-    if ids.size and (n == 0 or (verts[np.minimum(pos, n - 1)] != ids).any()):
-        raise ValueError("an instance member is not in all_vertices")
+    rows = pos.reshape(ninst, p)
+    row_of = slot // p  # each CSR slot's instance row
+    cdeg = deg.copy()
+    core = np.zeros(n, dtype=np.int64)
+    v_alive = np.ones(n, dtype=bool)
+    r_alive = np.ones(ninst, dtype=bool)
+    alive = np.arange(n)  # alive ranks, compacted once per level
+    alive_i = ninst
+    best_k, best_i, best_v = 0, ninst, n  # density best_i / best_v, G first
+    k = 0
+    while alive.size:
+        k = max(k, int(cdeg[alive].min()))
+        if alive_i * best_v > best_i * alive.size:  # the k-core is denser
+            best_k, best_i, best_v = k, alive_i, alive.size
+        batch = alive[cdeg[alive] <= k]
+        while batch.size:
+            core[batch] = k
+            v_alive[batch] = False
+            lens = deg[batch]
+            # the CSR ranges of the batch, concatenated
+            slots = np.repeat(start[batch] - np.cumsum(lens) + lens, lens)
+            slots += np.arange(slots.size)
+            dead = row_of[slots]
+            dead = np.unique(dead[r_alive[dead]])
+            r_alive[dead] = False
+            alive_i -= dead.size
+            hit = rows[dead].ravel()
+            np.subtract.at(cdeg, hit, 1)
+            hit = np.unique(hit)
+            hit = hit[v_alive[hit]]
+            batch = hit[cdeg[hit] <= k]
+        alive = alive[v_alive[alive]]
+
+    vl = verts.tolist()
+    kmax = int(core.max()) if n else 0
+    return CoreDecomposition(
+        core=dict(zip(vl, core.tolist())),
+        kmax=kmax,
+        kmax_core=verts[core == kmax].tolist() if kmax else [],
+        best_vertices=verts[core >= best_k].tolist() if best_v else [],
+        n_instances=ninst,
+    )
+
+
+def peel_decompose(members: np.ndarray, all_vertices) -> PeelResult:
+    """Exact (k,Psi)-core decomposition by min-clique-degree peeling,
+    one vertex at a time: PeelApp's Algorithm 2.
+
+    Takes the arguments of ``core_decompose`` and gives the same core
+    numbers, kmax and kmax-core. Vertices are peeled one at a time from a
+    (clique-degree, rank) heap, so ties go to the smallest id, and
+    ``best_vertices`` is the densest residual over every prefix of the
+    removal order.
+    """
+    verts, pos, slot, deg, start = _vertex_index(members, all_vertices)
+    n = len(verts)
+    ninst, p = members.shape
     flat = pos.tolist()
-    slot = np.argsort(pos, kind="stable")  # member slots grouped by vertex
     row_of = (slot - slot % p).tolist()  # each slot's row offset in ``flat``
-    deg = np.bincount(pos, minlength=n)
-    start = np.concatenate(([0], np.cumsum(deg))).tolist()
+    start = start.tolist()
 
     cdeg = deg.tolist()
     heap = list(zip(cdeg, range(n)))

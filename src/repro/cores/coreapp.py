@@ -17,7 +17,8 @@ here, its only caller) ranks the vertices off the edge array, an
 ``np.isin`` mask selects G[W]'s edges and ``clique_members`` lists its
 h-cliques (for h=2 the edges themselves). Other patterns rank by pattern
 degree and enumerate Psi on Spark in every round. Every peel, the
-classical one behind gamma included, is ``peel_decompose``.
+classical one behind gamma included, is the level-synchronous
+``core_decompose``.
 """
 from __future__ import annotations
 
@@ -28,7 +29,12 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
 from repro.cliques.enumerate import clique_members
-from repro.cores.clique_core import collect_instances, instances_inside, peel_decompose
+# the level-synchronous peel; the benchmark tracer wraps this import name
+from repro.cores.clique_core import (
+    collect_instances,
+    core_decompose as peel_decompose,
+    instances_inside,
+)
 from repro.graph.ops import edge_array, induced_subgraph, vertices as graph_vertices
 from repro.patterns.base import Pattern
 from repro.patterns.instances import pattern_degrees, pattern_instances
@@ -65,7 +71,7 @@ def kmax_core_coreapp(
             sub = edge_arr[np.isin(edge_arr, W).all(axis=1)]
             members = clique_members(sub, pattern.h)
         else:
-            wdf = spark.createDataFrame(pd.DataFrame({"v": W}))
+            wdf = spark.createDataFrame(pd.DataFrame({"v": W}), "v long")
             sub = induced_subgraph(edges, wdf).localCheckpoint(eager=True)
             inst = pattern_instances(spark, sub, pattern)
             members = collect_instances(inst, pattern)
@@ -98,7 +104,7 @@ def gamma_upper_bounds(edge_arr: np.ndarray, h: int) -> tuple:
     ``edge_arr`` is the (m, 2) edge array; both outputs are aligned arrays
     over its sorted distinct endpoints. h=2: the degree. h>=3:
     gamma(v) = C(core(v), h-1) from a classical core decomposition, per
-    Algorithm 6; the core numbers come from ``peel_decompose`` with the
+    Algorithm 6; the core numbers come from ``core_decompose`` with the
     edge array as the member matrix.
 
     Note a subtlety the paper's prose glosses over: this is NOT an upper

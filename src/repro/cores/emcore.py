@@ -15,7 +15,7 @@ which is where its O(k_max (n+m)) vs CoreApp's O(n+m) shows up).
 
 Run in main memory as in the paper: the edge list is collected once, and
 the degrees and every block G[H_t] are array work on the driver. Each
-block is decomposed by the one driver peel, ``peel_decompose`` with the
+block is decomposed by the level-synchronous ``core_decompose`` with the
 edge array as the member matrix (Def. 6 with Psi = edge is Def. 5).
 """
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
 # the (k,Psi)-core peel with Psi = edge; the benchmark tracer wraps this name
-from repro.cores.clique_core import peel_decompose as core_numbers_peel
+from repro.cores.clique_core import core_decompose as core_numbers_peel
 from repro.graph.ops import edge_array
 
 

@@ -1,12 +1,13 @@
 """CoreExact (Algorithm 4): core-located exact densest subgraph.
 
 Pipeline: (1) Spark enumerates instances; (2) exact (k,Psi)-core
-decomposition (driver peel over the collected instance table — the
-enumeration is the dominant cost, Lemma 6) tracking residual densities
-(rho'); (3) locate the CDS in the (k'',Psi)-core and split it into
-connected components; (4) per component, Dinkelbach's search on an
-exact integer flow network (as in ``repro.densest.exact``), with the
-optimizations of §6.1 that still apply:
+decomposition (the level-synchronous driver peel over the collected
+instance table — the enumeration is the dominant cost, Lemma 6), whose
+densest (k,Psi)-core gives rho'; (3) locate the CDS in the
+(k'',Psi)-core and split it into connected components; (4) per
+component, Dinkelbach's search on an exact integer flow network (as in
+``repro.densest.exact``), with the optimizations of §6.1 that still
+apply:
 
 * tighter lower bound: l = max(kmax/|V_Psi|, rho', rho''), where every
   component's search starts;
@@ -20,6 +21,10 @@ the first empty cut, not at a gap. Each component's network (with its
 Lemma-8 mask) is built once, and again only when the component shrinks
 to a higher core; the probes in between warm-start from the flow of the
 previous cut (see ``repro.densest.network``).
+
+``stats`` reports the localization: ``located_vertices`` (vertices in the
+located components), ``components`` and ``lower_bound`` (l after
+Pruning 1-2, "a/b"), so a weaker rho' shows as a larger located core.
 
 D starts as the best residual/component set, so the boundary case
 rho_opt == rho'' returns the optimum instead of the empty set (the
@@ -35,7 +40,8 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.cores.clique_core import instances_inside, peel_decompose
+# the level-synchronous peel; the benchmark tracer wraps this import name
+from repro.cores.clique_core import core_decompose as peel_decompose, instances_inside
 from repro.densest.common import DSDResult, certificate, exact_density, gather
 from repro.densest.network import build_network, lemma8_keep_mask, min_cut_vertices
 from repro.graph.ops import components_pandas, edge_array
@@ -77,6 +83,8 @@ def core_exact(
         # no instances: every set has density 0
         verts = pr.best_vertices or allv[:1]
         dens = exact_density(members, verts)
+        stats.update(located_vertices=0, components=0,
+                     lower_bound=f"{dens.numerator}/{dens.denominator}")
         stats["certificate"] = certificate(verts, dens, dens)
         return DSDResult(
             "CoreExact", pattern.name, sorted(verts), float(dens),
@@ -126,6 +134,9 @@ def core_exact(
         if math.ceil(l) > k_loc:
             k_loc = math.ceil(l)
             comps = comps_of(core_vertices(k_loc))
+    stats["located_vertices"] = sum(len(c) for c in comps)
+    stats["components"] = len(comps)
+    stats["lower_bound"] = f"{l.numerator}/{l.denominator}"
     t_locate = time.perf_counter() - t2
 
     def network_for(cset: set, alpha: Fraction) -> tuple:

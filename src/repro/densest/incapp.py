@@ -6,7 +6,7 @@ import time
 
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.cores.clique_core import peel_decompose
+from repro.cores.clique_core import core_decompose
 from repro.densest.common import DSDResult, exact_density, gather
 from repro.patterns.base import Pattern
 
@@ -20,7 +20,7 @@ def inc_app(
     allv, members = gather(spark, edges, pattern)
     t_enum = time.perf_counter() - t0
     t1 = time.perf_counter()
-    pr = peel_decompose(members, allv)
+    pr = core_decompose(members, allv)
     core_verts = pr.kmax_core or allv[:1]
     t_dec = time.perf_counter() - t1
     return DSDResult(

@@ -6,14 +6,18 @@ alpha * |V_Psi|, and per-instance gadgets (v -> psi cap 1,
 psi -> v cap |V_Psi| - 1). ``grouped=True`` is construct+ (Algorithm 7):
 instances sharing a vertex set collapse into one group node g with
 v -> g cap |g| and g -> v cap |g| * (|V_Psi| - 1). Lemma 12 guarantees
-identical min-cut capacity (tested).
+identical min-cut capacity (tested). The four arc blocks are numpy
+arrays, laid out as CSR by ``repro.flow.dinic.Dinic`` in one pass; no
+arc is added one at a time.
 
 alpha is a ``Fraction`` a/b (a float is converted exactly), and every
 capacity is multiplied by the network's ``scale``, a multiple of b, so
 all capacities are ints and Dinic decides each cut exactly (Goldberg,
 "Finding a maximum density subgraph", UC Berkeley TR 1984). Scaling
 every arc by one factor scales every cut alike, so the min-cut sides are
-those of Algorithm 1's network.
+those of Algorithm 1's network. The capacities are int64 arrays at build
+time when they fit (every unscaled one is at most |Lambda| * |V_Psi|),
+and Python ints otherwise; the residuals are Python ints either way.
 
 A network is built once per vertex set and probed at rising alpha. Only
 the sink arcs depend on alpha, and a feasible flow at alpha stays
@@ -21,13 +25,14 @@ feasible when the sink arcs are raised, so the network keeps one saved
 flow: the residual capacities of the last probe whose cut was non-empty
 (at first, the zero flow at the build alpha). ``set_alpha`` loads it,
 rescaled to a common multiple of both denominators, and raises every
-sink arc by (alpha - saved alpha) * |V_Psi| * scale; Dinic then only
-augments. Callers only raise alpha after a non-empty cut, so every
-later probe has alpha above the saved one. This is the warm start of
-parametric max-flow (Gallo, Grigoriadis & Tarjan, SIAM J. Comput. 1989).
-The min-cut source side returned is the set reachable from s in the
-residual graph, which is the same for every maximum flow, so warm and
-fresh probes give the same cut.
+sink arc (at its recorded CSR position) by
+(alpha - saved alpha) * |V_Psi| * scale; Dinic then only augments.
+Callers only raise alpha after a non-empty cut, so every later probe has
+alpha above the saved one. This is the warm start of parametric max-flow
+(Gallo, Grigoriadis & Tarjan, SIAM J. Comput. 1989). The min-cut source
+side returned is the set reachable from s in the residual graph, which
+is the same for every maximum flow, so warm and fresh probes give the
+same cut.
 """
 from __future__ import annotations
 
@@ -39,19 +44,25 @@ import numpy as np
 
 from repro.flow.dinic import Dinic
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 class DensityNetwork(Dinic):
-    """Dinic graph of one vertex set, probed at rising alpha."""
+    """Dinic graph of one vertex set, probed at rising alpha.
 
-    def __init__(self, n: int, p: int, alpha):
-        super().__init__(n)
+    The input arcs ``sink`` (a slice) are the vertex -> t arcs.
+    """
+
+    def __init__(self, n: int, tail, head, cap, sink: slice, p: int, alpha: Fraction,
+                 scale: int):
+        super().__init__(n, tail, head, cap)
         self.p = p
-        self.alpha = Fraction(alpha)  # alpha the sink arcs are set to
-        self.scale = self.alpha.denominator  # every capacity is multiplied by it
-        self.sink_arcs: list[int] = []
+        self.alpha = alpha  # alpha the sink arcs are set to
+        self.scale = scale  # every capacity is multiplied by it
+        self.sink_arcs: list[int] = self.arc[sink].tolist()
         # (alpha, scale, residual caps) of a feasible flow at that alpha;
         # ``cap`` may alias it while ``alpha`` equals the saved alpha. At
-        # first it is the zero flow: ``add_edge`` extends this same list.
+        # first it is the zero flow.
         self._saved: tuple = (self.alpha, self.scale, self.cap)
 
     def set_alpha(self, alpha) -> None:
@@ -109,12 +120,13 @@ def build_network(
                     degrees over *kept* instances only (per the Lemma 8
                     proof, clique-degrees drop by one per removed instance).
 
-    Returns (net, s, t, vid2node, n_nodes) with vertex nodes 1..n; ``net``
-    is a ``DensityNetwork`` whose ``sink_arcs`` are the vertex -> t arcs.
+    Returns (net, s, t, vid2node, n_nodes) with vertex nodes 1..n in
+    ascending id order; ``net`` is a ``DensityNetwork`` whose
+    ``sink_arcs`` are the CSR positions of the vertex -> t arcs.
     """
-    vids = sorted(int(v) for v in vertex_ids)
-    vid2node = {v: i + 1 for i, v in enumerate(vids)}
+    vids = np.sort(np.fromiter(vertex_ids, dtype=np.int64))
     nv = len(vids)
+    vid2node = dict(zip(vids.tolist(), range(1, nv + 1)))
 
     if keep_mask is not None and members.shape[0]:
         members = members[keep_mask]
@@ -126,24 +138,27 @@ def build_network(
     ng = gm.shape[0]
     s = 0
     t = nv + ng + 1
-    net = DensityNetwork(t + 1, p, alpha)
-    b = net.scale
+    alpha = Fraction(alpha)
+    b = alpha.denominator
 
     # member vertex ids -> node ids (members lie inside vertex_ids)
-    nodes = np.searchsorted(np.asarray(vids, dtype=np.int64), gm) + 1
-    deg = np.bincount(nodes.ravel(), weights=np.repeat(gcount, gm.shape[1]),
-                      minlength=nv + 1).astype(np.int64).tolist()
-
-    sink = net.alpha.numerator * p  # alpha * p * b
-    for i in range(1, nv + 1):
-        net.add_edge(s, i, deg[i] * b)
-        net.sink_arcs.append(len(net.to))
-        net.add_edge(i, t, sink)
-    for r, (row, c) in enumerate(zip(nodes.tolist(), gcount.tolist())):
-        gnode = nv + 1 + r
-        for v in row:
-            net.add_edge(v, gnode, c * b)
-            net.add_edge(gnode, v, c * (p - 1) * b)
+    nodes = (np.searchsorted(vids, gm) + 1).astype(np.int32).ravel()
+    gnode = np.repeat(np.arange(nv + 1, t, dtype=np.int32), p)
+    gcap = np.repeat(gcount.astype(np.int64), p)
+    vnode = np.arange(1, nv + 1, dtype=np.int32)
+    deg = np.bincount(nodes, weights=gcap, minlength=nv + 1)[1:].astype(np.int64)
+    # arc blocks: s -> v, v -> t, v -> g, g -> v
+    tail = np.concatenate([np.zeros(nv, np.int32), vnode, nodes, gnode])
+    head = np.concatenate([vnode, np.full(nv, t, np.int32), gnode, nodes])
+    sink = alpha.numerator * p  # alpha * p * b
+    unit = np.concatenate([deg, np.zeros(nv, np.int64), gcap, gcap * (p - 1)])
+    del nodes, gnode, vnode, deg
+    if max(int(unit.max(initial=0)) * b, sink) > _INT64_MAX:
+        unit = np.array(unit.tolist(), dtype=object)  # exact Python ints
+    cap = unit * b
+    cap[nv : 2 * nv] = sink
+    del unit
+    net = DensityNetwork(t + 1, tail, head, cap, slice(nv, 2 * nv), p, alpha, b)
     return net, s, t, vid2node, t + 1
 
 
@@ -154,7 +169,7 @@ def min_cut_vertices(net: DensityNetwork, s: int, t: int, vid2node: dict) -> lis
     """
     net.max_flow(s, t)
     side = net.min_cut_source_side(s)
-    cut = sorted(v for v, node in vid2node.items() if node in side)
+    cut = [v for v, node in vid2node.items() if side[node]]
     if cut:
         net.keep_flow()
     return cut

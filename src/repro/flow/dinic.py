@@ -1,10 +1,17 @@
-"""Dinic max-flow with exact (integer) capacities.
+"""Dinic max-flow over CSR arc arrays, with exact (integer) capacities.
 
 Fills the role of Gusfield's min-cut solver [2] in the paper's exact
-algorithms. The densest-subgraph networks are tiny after
-core-based localization, so a tight pure-Python implementation (arc
-arrays, BFS levels, iterative DFS blocking flow) is the right layering
-here; the paper itself treats parallel min-cut as out of scope (§6.3).
+algorithms. The densest-subgraph networks are small after core-based
+localization, so a tight pure-Python solver is the right layering here;
+the paper itself treats parallel min-cut as out of scope (§6.3).
+
+A network is given whole, as arc arrays (tail, head, capacity), and is
+laid out once with numpy: every arc and its zero-capacity reverse are
+sorted by tail (CSR), ``rev`` holds each arc's reverse position, and
+``arc[i]`` the position of input arc i. The solver then runs on plain
+lists: BFS levels with a list queue, and an iterative blocking-flow DFS
+that keeps a per-node arc pointer. The min-cut source side is a
+``bytearray`` of the nodes reachable from s in the residual graph.
 
 Capacities are compared against 0 with no tolerance, so they must be
 exact numbers. The densest-subgraph networks pass Python ints: α = a/b
@@ -23,97 +30,122 @@ capacities saved at an earlier probe, with some arcs raised, and
 """
 from __future__ import annotations
 
-from collections import deque
+from array import array
+
+import numpy as np
 
 
 class Dinic:
-    """Max-flow on a directed graph with ``n`` nodes (0..n-1)."""
+    """Max-flow on a directed graph with ``n`` nodes (0..n-1) and the
+    arcs ``tail[i] -> head[i]`` of capacity ``cap[i]``.
 
-    def __init__(self, n: int):
+    ``cap`` is anything ``np.asarray`` keeps exact: an int64 or float64
+    array, or an object array of Python ints when a capacity exceeds
+    int64. Residual capacities are kept as Python numbers in ``cap``.
+    """
+
+    def __init__(self, n: int, tail, head, cap):
         self.n = n
-        self.to: list[int] = []
-        self.cap: list = []
-        self.head: list[list[int]] = [[] for _ in range(n)]
-
-    def add_edge(self, u: int, v: int, c) -> None:
-        """Directed edge u->v with capacity c (reverse edge cap 0)."""
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
+        cap = np.asarray(cap)
+        m = len(cap)
+        # arc ids 0..m-1 are the input arcs, m..2m-1 their reverses
+        ends = np.concatenate([tail, head]).astype(np.int32, copy=False)
+        order = np.argsort(ends, kind="stable").astype(np.int32)  # CSR slot -> arc id
+        where = np.empty(2 * m, dtype=np.int32)  # arc id -> CSR slot
+        where[order] = np.arange(2 * m, dtype=np.int32)
+        to = np.concatenate([head, tail]).astype(np.int32, copy=False)[order]
+        # arc id a's reverse is a + m or a - m; a - m < 0 wraps to a + m
+        rev = where[order - m]
+        start = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=n))))
+        full = np.zeros(2 * m, dtype=cap.dtype)
+        full[where[:m]] = cap
+        self.arc = where[:m]
+        del ends, order, cap
+        # ``to`` refers to one int object per node, ``rev`` packs int32s:
+        # both are read per arc, and neither needs an int object per arc
+        self.to: list[int] = np.arange(n).astype(object)[to].tolist()
+        del to
+        self.rev = array("i", rev.tobytes())
+        del rev
+        self.start: list[int] = start.tolist()
+        self.cap: list = full.tolist()
 
     def _bfs(self, s: int, t: int) -> bool:
-        self.level = [-1] * self.n
-        self.level[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for e in self.head[u]:
-                v = self.to[e]
-                if self.cap[e] > 0 and self.level[v] < 0:
-                    self.level[v] = self.level[u] + 1
-                    q.append(v)
-        return self.level[t] >= 0
+        """Residual BFS levels from s; stops once t is labelled."""
+        start, to, cap = self.start, self.to, self.cap
+        level = [-1] * self.n
+        level[s] = 0
+        q = [s]
+        for u in q:
+            lv = level[u] + 1
+            for e in range(start[u], start[u + 1]):
+                if cap[e] > 0:
+                    v = to[e]
+                    if level[v] < 0:
+                        level[v] = lv
+                        if v == t:
+                            self.level = level
+                            return True
+                        q.append(v)
+        self.level = level
+        return False
 
     def _dfs(self, s: int, t: int):
-        """One blocking-flow augmentation (iterative)."""
+        """One blocking flow (iterative); returns the flow it added."""
+        start, to, cap, rev, level = self.start, self.to, self.cap, self.rev, self.level
+        it = start[:-1]  # per-node arc pointer
         total = 0
-        it = self.it
         path: list[int] = []
         u = s
         while True:
             if u == t:
-                bott = min(self.cap[e] for e in path)
+                bott = min(cap[e] for e in path)
                 for e in path:
-                    self.cap[e] -= bott
-                    self.cap[e ^ 1] += bott
+                    cap[e] -= bott
+                    cap[rev[e]] += bott
                 total += bott
-                # retreat to the first saturated arc
+                # retreat to the tail of the first saturated arc
                 for k, e in enumerate(path):
-                    if self.cap[e] <= 0:
-                        path = path[:k]
+                    if cap[e] <= 0:
+                        del path[k:]
                         break
-                u = self.to[path[-1]] if path else s
+                u = to[path[-1]] if path else s
                 continue
-            advanced = False
-            while it[u] < len(self.head[u]):
-                e = self.head[u][it[u]]
-                v = self.to[e]
-                if self.cap[e] > 0 and self.level[v] == self.level[u] + 1:
-                    path.append(e)
-                    u = v
-                    advanced = True
-                    break
-                it[u] += 1
-            if advanced:
+            e, end, lv = it[u], start[u + 1], level[u] + 1
+            while e < end and not (cap[e] > 0 and level[to[e]] == lv):
+                e += 1
+            it[u] = e
+            if e < end:
+                path.append(e)
+                u = to[e]
                 continue
             if u == s:
                 return total
-            # dead end: mark level unusable and retreat
-            self.level[u] = -1
+            # dead end: mark the node unusable and retreat
+            level[u] = -1
             e = path.pop()
-            u = self.to[e ^ 1]
+            u = to[rev[e]]
             it[u] += 1
 
     def max_flow(self, s: int, t: int):
         """Augment to a maximum s-t flow; return the flow this call added."""
         flow = 0
         while self._bfs(s, t):
-            self.it = [0] * self.n
             flow += self._dfs(s, t)
         return flow
 
-    def min_cut_source_side(self, s: int) -> set:
-        """Nodes reachable from s in the residual graph (call after max_flow)."""
-        seen = {s}
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for e in self.head[u]:
-                v = self.to[e]
-                if self.cap[e] > 0 and v not in seen:
-                    seen.add(v)
-                    q.append(v)
+    def min_cut_source_side(self, s: int) -> bytearray:
+        """Nodes reachable from s in the residual graph (call after
+        max_flow), as a 0/1 flag per node."""
+        start, to, cap = self.start, self.to, self.cap
+        seen = bytearray(self.n)
+        seen[s] = 1
+        q = [s]
+        for u in q:
+            for e in range(start[u], start[u + 1]):
+                if cap[e] > 0:
+                    v = to[e]
+                    if not seen[v]:
+                        seen[v] = 1
+                        q.append(v)
         return seen

@@ -206,3 +206,14 @@ def test_emcore_multi_round(spark):
     assert info["rounds"] >= 3
     assert kmax == want_k
     assert sorted(verts) == want_v
+
+
+@pytest.mark.parametrize("pat", [triangle(), star(2), diamond()],
+                         ids=["triangle", "2-star", "diamond"])
+def test_coreapp_on_empty_graph(spark, pat):
+    """No edges: CoreApp returns no vertex and density 0 for every
+    pattern, including those ranked and enumerated on Spark (2-star,
+    diamond), whose first round selects an empty W."""
+    g = edges_from_pandas(spark, pd.DataFrame({"src": [], "dst": []}))
+    r = core_app(spark, g, pat)
+    assert (r.kmax, r.vertices, r.density) == (0, [], 0.0)

@@ -147,3 +147,23 @@ def test_core_exact_no_instances(spark):
     res = core_exact(spark, g, triangle())
     assert res.density == 0.0
     assert res.kmax == 0
+
+
+@pytest.mark.parametrize("pat", CERT_PATTERNS, ids=[p.name for p in CERT_PATTERNS])
+def test_localization_stats(spark, pat):
+    """CoreExact reports its localization: the located core's size and
+    component count, and the lower bound l as "a/b", which never exceeds
+    the certified density. With no instance nothing is located."""
+    pdf = gen.compose(
+        gen.clique_pandas(range(8)),
+        gen.chung_lu_pandas(100, 250, alpha=2.5, seed=8, offset=20),
+    )
+    g = edges_from_pandas(spark, pdf)
+    st = core_exact(spark, g, pat).stats
+    n_located, n_comps = st["located_vertices"], st["components"]
+    assert 8 <= n_located <= st["n"] and 1 <= n_comps <= n_located
+    num, den = map(int, st["lower_bound"].split("/"))
+    assert Fraction(num, den) <= Fraction(st["certificate"]["density"])
+    none = core_exact(spark, edges_from_pandas(spark, gen.clique_pandas(range(2))), triangle())
+    assert (none.stats["located_vertices"], none.stats["components"]) == (0, 0)
+    assert none.stats["lower_bound"] == "0/1"

@@ -9,74 +9,65 @@ from repro.flow.dinic import Dinic
 from repro.graph import generators as gen
 
 
+def _dinic(n, arcs):
+    """A Dinic of ``n`` nodes over (tail, head, capacity) triples."""
+    tail, head, cap = zip(*arcs)
+    return Dinic(n, tail, head, cap)
+
+
 def test_single_edge():
-    d = Dinic(2)
-    d.add_edge(0, 1, 5.0)
+    d = _dinic(2, [(0, 1, 5.0)])
     assert d.max_flow(0, 1) == pytest.approx(5.0)
 
 
 def test_series_bottleneck():
-    d = Dinic(3)
-    d.add_edge(0, 1, 5.0)
-    d.add_edge(1, 2, 3.0)
+    d = _dinic(3, [(0, 1, 5.0), (1, 2, 3.0)])
     assert d.max_flow(0, 2) == pytest.approx(3.0)
-    assert d.min_cut_source_side(0) == {0, 1}
+    assert d.min_cut_source_side(0) == bytearray([1, 1, 0])
 
 
 def test_parallel_paths():
-    d = Dinic(4)
-    d.add_edge(0, 1, 2.0)
-    d.add_edge(0, 2, 2.0)
-    d.add_edge(1, 3, 2.0)
-    d.add_edge(2, 3, 2.0)
+    d = _dinic(4, [(0, 1, 2.0), (0, 2, 2.0), (1, 3, 2.0), (2, 3, 2.0)])
     assert d.max_flow(0, 3) == pytest.approx(4.0)
 
 
 def test_classic_clrs_network():
     # CLRS figure 26.1-style network, known max flow 23
-    d = Dinic(6)
     s, v1, v2, v3, v4, t = range(6)
-    d.add_edge(s, v1, 16)
-    d.add_edge(s, v2, 13)
-    d.add_edge(v1, v2, 10)
-    d.add_edge(v2, v1, 4)
-    d.add_edge(v1, v3, 12)
-    d.add_edge(v3, v2, 9)
-    d.add_edge(v2, v4, 14)
-    d.add_edge(v4, v3, 7)
-    d.add_edge(v3, t, 20)
-    d.add_edge(v4, t, 4)
+    d = _dinic(6, [
+        (s, v1, 16),
+        (s, v2, 13),
+        (v1, v2, 10),
+        (v2, v1, 4),
+        (v1, v3, 12),
+        (v3, v2, 9),
+        (v2, v4, 14),
+        (v4, v3, 7),
+        (v3, t, 20),
+        (v4, t, 4),
+    ])
     assert d.max_flow(s, t) == pytest.approx(23.0)
 
 
 def test_disconnected_sink():
-    d = Dinic(3)
-    d.add_edge(0, 1, 9.0)
+    d = _dinic(3, [(0, 1, 9.0)])
     assert d.max_flow(0, 2) == pytest.approx(0.0)
-    assert 2 not in d.min_cut_source_side(0)
+    assert not d.min_cut_source_side(0)[2]
 
 
 def test_fractional_capacities():
-    d = Dinic(3)
-    d.add_edge(0, 1, 1.5)
-    d.add_edge(0, 2, 0.25)
-    d.add_edge(1, 2, 0.75)
+    d = _dinic(3, [(0, 1, 1.5), (0, 2, 0.25), (1, 2, 0.75)])
     assert d.max_flow(0, 2) == pytest.approx(1.0)
 
 
 def test_bipartite_matching():
     # 3x3 bipartite, perfect matching exists
-    d = Dinic(8)
     s, t = 0, 7
     left = [1, 2, 3]
     right = [4, 5, 6]
-    for u in left:
-        d.add_edge(s, u, 1)
-    for v in right:
-        d.add_edge(v, t, 1)
     pairs = [(1, 4), (1, 5), (2, 5), (3, 6)]
-    for u, v in pairs:
-        d.add_edge(u, v, 1)
+    d = _dinic(8, [(s, u, 1) for u in left] + [(v, t, 1) for v in right]
+               + [(u, v, 1) for u, v in pairs])
     assert d.max_flow(s, t) == pytest.approx(3.0)
 
 
@@ -103,13 +94,12 @@ def test_maxflow_equals_brute_min_cut(seed):
         for v in range(n):
             if u != v and rng.random() < 0.4:
                 arcs.append((u, v, rng.randint(1, 10)))
-    d = Dinic(n)
-    for u, v, c in arcs:
-        d.add_edge(u, v, c)
+    d = _dinic(n, arcs)
     flow = d.max_flow(0, n - 1)
     assert flow == pytest.approx(brute_min_cut(n, arcs, 0, n - 1))
     # cut returned is consistent: its capacity equals the flow
-    S = d.min_cut_source_side(0)
+    side = d.min_cut_source_side(0)
+    S = {u for u in range(n) if side[u]}
     cap = sum(c for (u, v, c) in arcs if u in S and v not in S)
     assert cap == pytest.approx(flow)
     assert 0 in S and (n - 1) not in S

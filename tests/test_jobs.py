@@ -23,6 +23,7 @@ def test_table3_tiny(spark):
     assert len(df) == 2
     assert ((df["decomp_pct"] >= 0) & (df["decomp_pct"] <= 100)).all()
     assert (df["total_s"] > 0).all()
+    assert (df["located_vertices"] >= df["components"]).all()
 
 
 def test_table4_one_dataset(spark):

@@ -1,5 +1,8 @@
 """Flow-network construction: Algorithm 1 gadget, construct+ (Lemma 12),
-Lemma 8 pruning safety, warm-started probes."""
+Lemma 8 pruning safety, warm-started probes, and the CSR network against
+the arc-at-a-time network and Dinic it replaced."""
+from collections import deque
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -229,3 +232,142 @@ def test_set_alpha_below_saved_flow_is_rejected():
     assert min_cut_vertices(net, s, t, v2n) == [0, 1, 2, 3]
     with pytest.raises(ValueError):
         net.set_alpha(0.25)
+
+
+class ReferenceDinic:
+    """The list-of-lists Dinic the CSR solver replaced: arcs added one at
+    a time, arc e's reverse at e ^ 1."""
+
+    def __init__(self, n):
+        self.n = n
+        self.to, self.cap = [], []
+        self.head = [[] for _ in range(n)]
+
+    def add_edge(self, u, v, c):
+        self.head[u].append(len(self.to))
+        self.to.append(v)
+        self.cap.append(c)
+        self.head[v].append(len(self.to))
+        self.to.append(u)
+        self.cap.append(0)
+
+    def _bfs(self, s, t):
+        self.level = [-1] * self.n
+        self.level[s] = 0
+        q = deque([s])
+        while q:
+            u = q.popleft()
+            for e in self.head[u]:
+                v = self.to[e]
+                if self.cap[e] > 0 and self.level[v] < 0:
+                    self.level[v] = self.level[u] + 1
+                    q.append(v)
+        return self.level[t] >= 0
+
+    def _dfs(self, s, t):
+        it, path, u = self.it, [], s
+        while True:
+            if u == t:
+                bott = min(self.cap[e] for e in path)
+                for e in path:
+                    self.cap[e] -= bott
+                    self.cap[e ^ 1] += bott
+                for k, e in enumerate(path):
+                    if self.cap[e] <= 0:
+                        path = path[:k]
+                        break
+                u = self.to[path[-1]] if path else s
+                continue
+            while it[u] < len(self.head[u]):
+                e = self.head[u][it[u]]
+                if self.cap[e] > 0 and self.level[self.to[e]] == self.level[u] + 1:
+                    path.append(e)
+                    u = self.to[e]
+                    break
+                it[u] += 1
+            else:
+                if u == s:
+                    return
+                self.level[u] = -1
+                e = path.pop()
+                u = self.to[e ^ 1]
+                it[u] += 1
+
+    def min_cut_source_side(self, s, t):
+        while self._bfs(s, t):
+            self.it = [0] * self.n
+            self._dfs(s, t)
+        return {v for v in range(self.n) if self.level[v] >= 0}
+
+
+def reference_cut(vertex_ids, members, alpha, p, grouped, keep_mask):
+    """Min-cut vertices of the network built one ``add_edge`` at a time."""
+    vids = sorted(int(v) for v in vertex_ids)
+    nv = len(vids)
+    if keep_mask is not None and members.shape[0]:
+        members = members[keep_mask]
+    if grouped:
+        gm, gcount = group_instances(members)
+    else:
+        gm, gcount = members, np.ones(members.shape[0], dtype=np.int64)
+    alpha = Fraction(alpha)
+    b = alpha.denominator
+    t = nv + gm.shape[0] + 1
+    net = ReferenceDinic(t + 1)
+    nodes = np.searchsorted(np.asarray(vids, dtype=np.int64), gm) + 1
+    deg = [0] * (nv + 1)
+    for row, c in zip(nodes.tolist(), gcount.tolist()):
+        for v in row:
+            deg[v] += c
+    for i in range(1, nv + 1):
+        net.add_edge(0, i, deg[i] * b)
+        net.add_edge(i, t, alpha.numerator * p)
+    for r, (row, c) in enumerate(zip(nodes.tolist(), gcount.tolist())):
+        for v in row:
+            net.add_edge(v, nv + 1 + r, c * b)
+            net.add_edge(nv + 1 + r, v, c * (p - 1) * b)
+    side = net.min_cut_source_side(0, t)
+    return [v for i, v in enumerate(vids, start=1) if i in side]
+
+
+@pytest.mark.parametrize("lemma8", [False, True], ids=["all-instances", "lemma8"])
+@pytest.mark.parametrize("graph", sorted(GRAPHS))
+@pytest.mark.parametrize("pat", WARM_PATTERNS, ids=[p.name for p in WARM_PATTERNS])
+def test_csr_network_matches_reference(spark, graph, pat, lemma8):
+    """Over the warm-start alpha sequence, the CSR network's cut (one
+    network, warm-started) equals the reference network's cut, built fresh
+    at each alpha; construct+ for the diamond, with and without the
+    Lemma-8 mask."""
+    g = edges_from_pandas(spark, GRAPHS[graph]())
+    allv, members = gather(spark, g, pat)
+    grouped = pat.kind != "clique"
+    p, n = pat.nv, len(allv)
+    keep = lemma8_keep_mask(members, n) if lemma8 else None
+    lo, hi = Fraction(0), Fraction(int(np.unique(members, return_counts=True)[1].max()))
+    net, s, t, vid2node, n_nodes = build_network(
+        allv, members, lo, p, grouped=grouped, keep_mask=keep)
+    assert len(net.to) == 2 * (2 * n + 2 * p * (n_nodes - n - 2))
+    outcomes = set()
+    while hi - lo >= Fraction(1, n * (n - 1)):
+        alpha = (lo + hi) / 2
+        net.set_alpha(alpha)
+        cut = min_cut_vertices(net, s, t, vid2node)
+        assert cut == reference_cut(allv, members, alpha, p, grouped, keep), alpha
+        outcomes.add(bool(cut))
+        if cut:
+            lo = alpha
+        else:
+            hi = alpha
+    assert outcomes == {True, False}
+
+
+def test_network_capacities_past_int64():
+    """A float alpha converts exactly; when alpha * |V_Psi| * scale passes
+    int64 the capacities are Python ints and the cut is still exact."""
+    members = np.array([list(c) for c in combinations(range(4), 3)])
+    below = Fraction(1) - Fraction(1, 2**70)
+    net, s, t, v2n, _ = build_network(range(5), members, below, 3)
+    assert net.scale == 2**70
+    assert min_cut_vertices(net, s, t, v2n) == [0, 1, 2, 3]
+    net, s, t, v2n, _ = build_network(range(5), members, Fraction(1), 3)
+    assert min_cut_vertices(net, s, t, v2n) == []

@@ -1,11 +1,13 @@
-"""Property-based checks of the driver peeling engine (no Spark).
+"""Property-based checks of the driver peeling engines (no Spark).
 
 Hypothesis generates random small instance-hypergraphs; we verify the
 peel against first-principles definitions of the (k,Psi)-core. Seeded
-random member matrices check it against ``reference_peel``, the
-dict-and-double-loop heap peel it replaced.
+random member matrices check the heap peel against ``reference_peel``,
+the dict-and-double-loop heap peel it replaced, and the level-synchronous
+``core_decompose`` against the heap peel.
 """
 import heapq
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cores.clique_core import (
     PeelResult,
+    core_decompose,
     instances_inside,
     peel_decompose,
 )
@@ -93,12 +96,9 @@ def _random_members(rng, p: int, n_used: int, ninst: int, offset: int) -> np.nda
     return np.asarray(rows, dtype=np.int64) + offset
 
 
-@pytest.mark.parametrize("offset", [0, 2**40], ids=["small-ids", "ids-2^40"])
-@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
-def test_peel_matches_reference(p, offset):
-    """The whole PeelResult equals the reference peel's, on seeded random
-    member matrices: dense and sparse ones, empty ones, and vertex sets
-    with ids in no instance."""
+def _seeded_cases(p: int, offset: int):
+    """60 seeded (members, all_vertices) cases, dense and sparse, with ids
+    in no instance, then the empty matrix with and without vertices."""
     rng = np.random.default_rng(1000 * p + (offset > 0))
     for _ in range(60):
         n_used = int(rng.integers(p, 3 * p + 12))
@@ -107,11 +107,39 @@ def test_peel_matches_reference(p, offset):
         extra = rng.choice(1000, size=int(rng.integers(0, 6)), replace=False)
         allv = list(range(offset, offset + n_used)) + (offset + 5000 + extra).tolist()
         rng.shuffle(allv)
-        assert peel_decompose(members, allv) == reference_peel(members, allv)
+        yield members, allv
     empty = np.empty((0, p), dtype=np.int64)
-    assert peel_decompose(empty, []) == reference_peel(empty, [])
-    allv = [offset + 3, offset + 1, offset + 2]
-    assert peel_decompose(empty, allv) == reference_peel(empty, allv)
+    yield empty, []
+    yield empty, [offset + 3, offset + 1, offset + 2]
+
+
+@pytest.mark.parametrize("offset", [0, 2**40], ids=["small-ids", "ids-2^40"])
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+def test_peel_matches_reference(p, offset):
+    """The whole PeelResult equals the reference peel's, on seeded random
+    member matrices: dense and sparse ones, empty ones, and vertex sets
+    with ids in no instance."""
+    for members, allv in _seeded_cases(p, offset):
+        assert peel_decompose(members, allv) == reference_peel(members, allv)
+
+
+@pytest.mark.parametrize("offset", [0, 2**40], ids=["small-ids", "ids-2^40"])
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+def test_level_peel_matches_heap_peel(p, offset):
+    """The level-synchronous peel has the heap peel's core numbers, kmax
+    and kmax-core on the same cases. Its rho' is a densest core, so it is
+    at most the heap's best residual and at least kmax / p."""
+    for members, allv in _seeded_cases(p, offset):
+        got, want = core_decompose(members, allv), peel_decompose(members, allv)
+        assert (got.core, got.kmax, got.kmax_core) == (want.core, want.kmax, want.kmax_core)
+        assert got.n_instances == want.n_instances
+        rho = exact_density(members, got.best_vertices)
+        assert rho <= exact_density(members, want.best_vertices)
+        assert rho >= Fraction(got.kmax, p)
+        assert bool(got.best_vertices) == bool(allv)
+        # the best set is a (k,Psi)-core: every core number in it is >= k
+        k = min((got.core[v] for v in got.best_vertices), default=0)
+        assert got.best_vertices == sorted(v for v, c in got.core.items() if c >= k)
 
 
 def test_peel_rejects_member_outside_vertex_set():
