@@ -14,7 +14,7 @@ from pyspark.sql import SparkSession
 
 from repro.cores.clique_core import collect_instances, core_decompose
 from repro.graph import datasets as ds
-from repro.graph.ops import components_pandas
+from repro.graph.ops import components
 from repro.patterns import triangle
 from repro.patterns.instances import pattern_instances
 
@@ -27,9 +27,9 @@ def run(spark: SparkSession, names=None, triangle_stats: bool = True) -> pd.Data
         allv = sorted(set(pdf["src"]) | set(pdf["dst"]))
         n, m = len(allv), len(pdf)
         paper_n, paper_m = ds.paper_size(name)
-        roots = components_pandas(pdf)
-        n_cc = len(set(roots.values()))
-        kmax = core_decompose(pdf[["src", "dst"]].to_numpy(np.int64), allv).kmax
+        edge_arr = pdf[["src", "dst"]].to_numpy(np.int64)
+        n_cc = np.unique(components(edge_arr, allv)[1]).size
+        kmax = core_decompose(edge_arr, allv).kmax
         row = {
             "dataset": name,
             "vertices": n,

@@ -14,8 +14,7 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.cores.clique_core import density_of
-from repro.densest.common import gather
+from repro.densest.common import exact_density, gather
 from repro.densest.core_exact import core_exact
 from repro.densest.coreapp_dsd import core_app
 from repro.densest.peel import peel_app
@@ -45,7 +44,7 @@ def run(
                 "dataset": name,
                 "pattern": pat.name,
                 "rho_opt": res.density,
-                "rho_eds": density_of(members, eds_set),
+                "rho_eds": float(exact_density(members, eds_set)),
                 "cds_size": res.size,
                 "coreexact_s": res.timings["total"],
             }

@@ -1,8 +1,5 @@
 """(k, Psi)-core machinery (Def. 6, Alg. 3) for cliques and patterns.
 
-* ``clique_core``                — fixed-k (k,Psi)-core by iterative Spark
-  pruning over the instance table: drop vertices whose surviving-instance
-  count < k, kill instances that lost a member, repeat to fixpoint.
 * ``clique_core_numbers_hindex`` — all clique-core numbers by the local
   h-operator fixpoint over instances. Each round: per instance compute, for
   every member v, the minimum estimate among the *other* members; per vertex
@@ -18,7 +15,7 @@
   PeelApp (Algorithm 2): the same core numbers, plus the peel order and
   its densest residual prefix.
 
-All four take any pattern, so with Psi = edge (Def. 6 reduces to Def. 5)
+All three take any pattern, so with Psi = edge (Def. 6 reduces to Def. 5)
 they are also the classical k-core and core numbers: EMcore and CoreApp's
 gamma peel the edge array with ``core_decompose``.
 """
@@ -38,47 +35,8 @@ from repro.patterns.instances import instances_long, member_cols, pattern_instan
 _HINDEX = (
     "size(filter(transform(sort_array(vals, false), (x, i) -> x >= i + 1), b -> b))"
 )
-# convergence guard of the two Spark fixpoint loops
+# convergence guard of the Spark fixpoint loop
 _MAX_ROUNDS = 10_000
-
-
-def clique_core(
-    spark: SparkSession,
-    edges: DataFrame,
-    k: int,
-    pattern: Pattern,
-    inst: DataFrame | None = None,
-) -> DataFrame:
-    """Vertices of the (k, Psi)-core — column (v); empty if none exists."""
-    if inst is None:
-        inst = pattern_instances(spark, edges, pattern)
-    long = instances_long(inst, pattern).localCheckpoint(eager=True)
-    alive = graph_vertices(edges).localCheckpoint(eager=True)
-    p = pattern.nv
-    for _ in range(_MAX_ROUNDS):
-        full = (
-            long.join(alive, "v", "left_semi")
-            .groupBy("iid")
-            .agg(F.count("*").alias("nmem"))
-            .where(F.col("nmem") == p)
-            .select("iid")
-        )
-        cdeg = (
-            long.join(full, "iid", "left_semi").groupBy("v").agg(F.count("*").alias("cdeg"))
-        )
-        keep = (
-            alive.join(cdeg, "v", "left")
-            .where(F.coalesce("cdeg", F.lit(0)) >= k)
-            .select("v")
-            .localCheckpoint(eager=True)
-        )
-        n_keep = keep.count()
-        if n_keep == alive.count():
-            return keep
-        alive = keep
-        if n_keep == 0:
-            return alive
-    raise RuntimeError("clique_core did not converge")  # pragma: no cover
 
 
 def clique_core_numbers_hindex(
@@ -335,18 +293,5 @@ def peel_decompose(members: np.ndarray, all_vertices) -> PeelResult:
 
 def instances_inside(members: np.ndarray, vertex_set) -> np.ndarray:
     """Boolean mask of instances whose members all lie in ``vertex_set``."""
-    if members.size == 0:
-        return np.zeros(0, dtype=bool)
-    vs = np.asarray(sorted(vertex_set), dtype=np.int64)
-    pos = np.searchsorted(vs, members)
-    pos = np.clip(pos, 0, len(vs) - 1)
-    ok = vs[pos] == members if len(vs) else np.zeros_like(members, dtype=bool)
-    return ok.all(axis=1) if len(vs) else np.zeros(members.shape[0], dtype=bool)
-
-
-def density_of(members: np.ndarray, vertex_set) -> float:
-    """rho(G[S], Psi) = instances fully inside S / |S|."""
-    nv = len(vertex_set)
-    if nv == 0:
-        return 0.0
-    return float(instances_inside(members, vertex_set).sum()) / nv
+    vs = np.fromiter(vertex_set, dtype=np.int64)
+    return np.isin(members, vs).all(axis=1)

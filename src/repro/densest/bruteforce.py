@@ -10,7 +10,7 @@ from itertools import combinations
 
 import numpy as np
 
-from repro.cores.clique_core import density_of
+from repro.densest.common import exact_density
 
 
 def brute_force_densest(members: np.ndarray, all_vertices) -> tuple:
@@ -19,11 +19,11 @@ def brute_force_densest(members: np.ndarray, all_vertices) -> tuple:
     n = len(verts)
     if n > 16:
         raise ValueError("brute force limited to n <= 16")
-    best_set, best_d = [verts[0]], 0.0
+    best_set, best_d = [verts[0]], 0
     for size in range(1, n + 1):
         for sub in combinations(verts, size):
-            d = density_of(members, set(sub))
-            if d > best_d + 1e-12:
+            d = exact_density(members, sub)
+            if d > best_d:
                 best_d = d
                 best_set = list(sub)
-    return best_set, best_d
+    return best_set, float(best_d)

@@ -37,14 +37,14 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 # the level-synchronous peel; the benchmark tracer wraps this import name
 from repro.cores.clique_core import core_decompose as peel_decompose, instances_inside
 from repro.densest.common import DSDResult, certificate, exact_density, gather
 from repro.densest.network import build_network, lemma8_keep_mask, min_cut_vertices
-from repro.graph.ops import components_pandas, edge_array
+# the array components kernel; the benchmark tracer wraps this import name
+from repro.graph.ops import components as components_pandas, edge_array
 from repro.patterns.base import Pattern
 
 
@@ -79,10 +79,10 @@ def core_exact(
         "network_builds": 0,
         "iterations": 0,
     }
-    if kmax == 0 or n < 2:
-        # no instances: every set has density 0
-        verts = pr.best_vertices or allv[:1]
-        dens = exact_density(members, verts)
+    if kmax == 0:
+        # no instances: every set has density 0; the smallest id answers
+        verts = allv[:1]
+        dens = Fraction(0)
         stats.update(located_vertices=0, components=0,
                      lower_bound=f"{dens.numerator}/{dens.denominator}")
         stats["certificate"] = certificate(verts, dens, dens)
@@ -95,24 +95,17 @@ def core_exact(
         )
 
     core_map = pr.core
-    esrc, edst = edge_arr[:, 0], edge_arr[:, 1]
 
     def core_vertices(k: int) -> set:
         return {v for v, c in core_map.items() if c >= k}
 
     def comps_of(vset: set) -> list:
-        """Connected components (vertex lists) of G[vset]."""
-        if not vset:
-            return []
-        vs = np.fromiter(vset, dtype=np.int64, count=len(vset))
-        keep = np.isin(esrc, vs) & np.isin(edst, vs)
-        roots = components_pandas(
-            pd.DataFrame({"src": esrc[keep], "dst": edst[keep]}), extra_vertices=vset
-        )
-        groups: dict = {}
-        for v in vset:
-            groups.setdefault(roots[int(v)], []).append(int(v))
-        return list(groups.values())
+        """Connected components (sorted vertex lists) of G[vset], ordered
+        by their smallest vertex."""
+        verts, root = components_pandas(edge_arr, np.fromiter(vset, dtype=np.int64))
+        order = np.argsort(root, kind="stable")
+        cuts = np.flatnonzero(np.diff(root[order])) + 1
+        return [c.tolist() for c in np.split(verts[order], cuts) if c.size]
 
     t2 = time.perf_counter()
     # -- tighter bounds + localization (exact fractions) --------------------

@@ -7,12 +7,8 @@ import time
 
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
-from repro.cores.clique_core import (
-    clique_core_numbers_hindex,
-    collect_instances,
-    density_of,
-)
-from repro.densest.common import DSDResult
+from repro.cores.clique_core import clique_core_numbers_hindex, collect_instances
+from repro.densest.common import DSDResult, exact_density
 from repro.patterns.base import Pattern
 from repro.patterns.instances import pattern_instances
 
@@ -27,8 +23,10 @@ def nucleus_app(
     verts = sorted(
         int(r["v"]) for r in cn.where(F.col("core") == kmax).collect()
     )
+    if kmax == 0:  # no instance: every set has density 0; the smallest id answers
+        verts = verts[:1]
     members = collect_instances(inst, pattern)
-    dens = density_of(members, set(verts)) if verts else 0.0
+    dens = float(exact_density(members, verts))
     return DSDResult(
         "Nucleus",
         pattern.name,

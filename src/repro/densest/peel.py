@@ -26,7 +26,8 @@ def peel_app(
     t1 = time.perf_counter()
     pr = peel_decompose(members, allv)
     t_peel = time.perf_counter() - t1
-    verts = pr.best_vertices if pr.best_vertices else allv[:1]
+    # with no instance every set has density 0; the smallest id answers
+    verts = pr.best_vertices if pr.kmax else allv[:1]
     return DSDResult(
         "PeelApp",
         pattern.name,

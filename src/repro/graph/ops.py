@@ -8,8 +8,8 @@ unless an explicit vertex DataFrame is supplied.
 
 All transformations here are pure DataFrame dataflow (Catalyst); the
 driver-side helpers are the edge collect used by the in-memory top-down
-core searches and the union-find connected components that CoreExact
-and Table 2 run once a graph or core is on the driver.
+core searches and the array connected components that CoreExact and
+Table 2 run once a graph or core is on the driver.
 """
 from __future__ import annotations
 
@@ -80,29 +80,36 @@ def edge_array(edges: DataFrame) -> np.ndarray:
     return edges.select("src", "dst").toPandas().to_numpy(dtype=np.int64).reshape(-1, 2)
 
 
-class UnionFind:
-    """Plain union-find over arbitrary hashable ids, used on localized cores."""
+def components(edge_arr: np.ndarray, vertices) -> tuple:
+    """Connected components of the subgraph induced on ``vertices``.
 
-    def __init__(self):
-        self.parent: dict = {}
+    ``edge_arr``: (m, 2) int64 edge array; an edge with an endpoint
+    outside ``vertices`` (array-like of ids) is ignored. Returns
+    ``(verts, root)``: the sorted distinct ids and, aligned with them, the
+    smallest id of each vertex's component.
 
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        if p != x:
-            self.parent[x] = p = self.find(p)
-        return p
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
-def components_pandas(edge_pdf: pd.DataFrame, extra_vertices=()) -> dict:
-    """Map vertex -> component root for a pandas edge list (src, dst)."""
-    uf = UnionFind()
-    for s, d in zip(edge_pdf["src"].to_numpy(), edge_pdf["dst"].to_numpy()):
-        uf.union(int(s), int(d))
-    for v in extra_vertices:
-        uf.find(int(v))
-    return {v: uf.find(v) for v in list(uf.parent)}
+    Min-label hooking plus pointer jumping (Shiloach & Vishkin, "An
+    O(log n) parallel connectivity algorithm", J. Algorithms 1982) over
+    ranks: each round hooks every root to the smallest root across its
+    edges, then jumps every label to its root, and drops the edges whose
+    ends now share a root. A label never exceeds its rank, so the forest
+    has no cycle and each root is the smallest rank of its tree.
+    """
+    verts = np.unique(np.asarray(vertices, dtype=np.int64))
+    if not verts.size:
+        return verts, verts
+    e = np.asarray(edge_arr, dtype=np.int64).reshape(-1, 2)
+    ends = np.minimum(np.searchsorted(verts, e), verts.size - 1)
+    u, v = ends[(verts[ends] == e).all(axis=1)].T
+    label = np.arange(verts.size)
+    while u.size:
+        lu, lv = label[u], label[v]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+        live = label[u] != label[v]
+        u, v = u[live], v[live]
+    return verts, verts[label]

@@ -7,10 +7,9 @@ import networkx as nx
 import pandas as pd
 import pytest
 
-from repro.cores.clique_core import density_of
 from repro.cores.coreapp import kmax_core_coreapp
 from repro.cores.emcore import kmax_core_emcore
-from repro.densest.common import gather
+from repro.densest.common import exact_density, gather
 from repro.densest.coreapp_dsd import core_app
 from repro.densest.core_exact import core_exact
 from repro.densest.exact import exact_densest
@@ -170,7 +169,7 @@ def test_coreapp_density_matches_recount(spark, seed, pat):
     for w0 in (None, 4):
         r = core_app(spark, g, pat, w0=w0)
         assert r.kmax > 0
-        assert r.density == density_of(members, r.vertices)
+        assert r.density == float(exact_density(members, r.vertices))
     assert r.stats["rounds"] >= 3
     full = inc_app(spark, g, pat)
     assert (r.kmax, r.vertices) == (full.kmax, full.vertices)
@@ -179,8 +178,8 @@ def test_coreapp_density_matches_recount(spark, seed, pat):
 def test_coreapp_density_without_instances(spark):
     """Triangle pattern on the triangle-free C6: k_max = 0, the one-vertex
     fallback is returned and its density is exactly 0. That vertex is the
-    smallest id, for CoreApp and for the algorithms that share its
-    fallback, whatever order Spark lists the vertices in."""
+    smallest id, for every algorithm, whatever order Spark lists the
+    vertices in."""
     pdf = pd.DataFrame({"src": [0, 1, 2, 3, 4, 0], "dst": [1, 2, 3, 4, 5, 5]})
     g = edges_from_pandas(spark, pdf)
     r = core_app(spark, g, triangle())
@@ -189,6 +188,9 @@ def test_coreapp_density_without_instances(spark):
     assert r.density == 0.0
     assert exact_densest(spark, g, triangle()).vertices == [0]
     assert inc_app(spark, g, triangle()).vertices == [0]
+    for algo in (core_exact, peel_app, nucleus_app):
+        r = algo(spark, g, triangle())
+        assert (r.vertices, r.density) == ([0], 0.0), r.algorithm
 
 
 def test_emcore_multi_round(spark):

@@ -1,14 +1,14 @@
 """(k,Psi)-cores: Alg. 3 peeling, distributed h-operator, Theorem 1 bounds."""
 
+from fractions import Fraction
+
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.cores.clique_core import (
-    clique_core,
     clique_core_numbers_hindex,
     collect_instances,
-    density_of,
     instances_inside,
     peel_decompose,
 )
@@ -25,23 +25,6 @@ def _gather(spark, pdf, pat):
     members = collect_instances(inst, pat)
     allv = sorted(set(pdf["src"]) | set(pdf["dst"]))
     return g, inst, members, allv
-
-
-def naive_clique_core(members: np.ndarray, allv, k: int) -> set:
-    """Reference fixed-k (k,Psi)-core by repeated removal."""
-    alive = set(allv)
-    while True:
-        inside = instances_inside(members, alive)
-        cdeg = {v: 0 for v in alive}
-        for row in members[inside]:
-            for v in row:
-                cdeg[int(v)] += 1
-        bad = {v for v, c in cdeg.items() if c < k}
-        if not bad:
-            return alive
-        alive -= bad
-        if not alive:
-            return alive
 
 
 def test_k4_triangle_core():
@@ -96,25 +79,6 @@ def test_hindex_needs_no_hash(spark, monkeypatch):
     assert got == peel_decompose(members, allv).core
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_fixed_k_core_matches_reference(spark, k):
-    pdf = gen.erdos_renyi_pandas(22, 0.3, seed=3)
-    pat = triangle()
-    g, inst, members, allv = _gather(spark, pdf, pat)
-    got = {r["v"] for r in clique_core(spark, g, k, pat, inst=inst).collect()}
-    assert got == naive_clique_core(members, allv, k)
-
-
-def test_fixed_k_core_matches_core_numbers(spark):
-    pdf = gen.erdos_renyi_pandas(20, 0.35, seed=7)
-    pat = triangle()
-    g, inst, members, allv = _gather(spark, pdf, pat)
-    pr = peel_decompose(members, allv)
-    for k in range(1, pr.kmax + 1):
-        got = {r["v"] for r in clique_core(spark, g, k, pat, inst=inst).collect()}
-        assert got == {v for v, c in pr.core.items() if c >= k}
-
-
 def test_nested_cores():
     pdf = gen.chung_lu_pandas(80, 240, seed=5)
     es = pdf.to_numpy()
@@ -135,9 +99,9 @@ def test_theorem1_bounds(spark):
     pr = peel_decompose(members, allv)
     for k in range(1, pr.kmax + 1):
         rk = {v for v, c in pr.core.items() if c >= k}
-        rho = density_of(members, rk)
-        assert rho >= k / pat.nv - 1e-9
-        assert rho <= pr.kmax + 1e-9
+        rho = exact_density(members, rk)
+        assert rho >= Fraction(k, pat.nv)
+        assert rho <= pr.kmax
 
 
 def test_core_zero_for_instanceless_vertices(spark):
@@ -155,8 +119,8 @@ def test_core_zero_for_instanceless_vertices(spark):
 def test_density_helpers():
     members = np.array([[0, 1, 2], [1, 2, 3]])
     assert instances_inside(members, {0, 1, 2}).tolist() == [True, False]
-    assert density_of(members, {0, 1, 2, 3}) == 0.5
-    assert density_of(members, set()) == 0.0
+    assert exact_density(members, {0, 1, 2, 3}) == Fraction(1, 2)
+    assert exact_density(members, set()) == 0
 
 
 def test_empty_instances():

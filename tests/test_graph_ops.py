@@ -1,12 +1,13 @@
 """Graph substrate: canonical edges, degrees, induced subgraphs, CCs."""
 import networkx as nx
+import numpy as np
 import pandas as pd
 import pytest
 
 from repro.cliques.enumerate import clique_instances
 from repro.graph import generators as gen
 from repro.graph.ops import (
-    components_pandas,
+    components,
     degrees,
     edges_from_pandas,
     induced_subgraph,
@@ -92,28 +93,59 @@ def test_counts(tri_path):
 
 def test_connected_components_two_comps(tri_path):
     _, pdf = tri_path
-    comp = components_pandas(pdf)
-    assert comp[1] == comp[2] == comp[3] == comp[4] == comp[5]
-    assert comp[10] == comp[11] != comp[1]
+    arr = pdf.to_numpy(np.int64)
+    verts, root = components(arr, np.unique(arr))
+    comp = dict(zip(verts.tolist(), root.tolist()))
+    assert comp[1] == comp[2] == comp[3] == comp[4] == comp[5] == 1
+    assert comp[10] == comp[11] == 10
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_components_pandas_matches_networkx(seed):
+def _paths() -> tuple:
+    """A 1,000-vertex path in edge order, a shuffled 1,000-vertex path,
+    a path over ids >= 2^62 and one isolated vertex."""
+    rng = np.random.default_rng(0)
+    p = np.arange(1000)
+    in_order = np.stack([p[:-1], p[1:]], axis=1)
+    perm = rng.permutation(1000) + 1000
+    shuffled = perm[rng.permutation(in_order)]
+    big = np.array([[2**62 + 5, 2**62 + 1], [2**62 + 1, 2**62 + 3]])
+    edges = np.concatenate([in_order, shuffled, big])
+    return edges, np.append(np.unique(edges), 5000)
+
+
+def _er(seed: int) -> tuple:
     pdf = gen.erdos_renyi_pandas(40, 0.04, seed=seed)
     if len(pdf) == 0:
         pytest.skip("empty graph draw")
-    roots = components_pandas(pdf)
+    arr = pdf.to_numpy(np.int64)
+    return arr, np.unique(arr)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, "paths"])
+def test_components_pandas_matches_networkx(seed):
+    """``components`` (imported by CoreExact as ``components_pandas``)
+    gives networkx's partition, labelled by each component's smallest id.
+    The in-order path is a chain of 999 hooks, as deep as Python's
+    default recursion limit of 1,000 frames."""
+    edges, allv = _paths() if seed == "paths" else _er(seed)
+    verts, root = components(edges, allv)
+    g = nx.Graph(edges.tolist())
+    g.add_nodes_from(allv.tolist())
+    assert verts.tolist() == sorted(g)
     groups = {}
-    for v, r in roots.items():
+    for v, r in zip(verts.tolist(), root.tolist()):
         groups.setdefault(r, set()).add(v)
-    g = nx.Graph(list(zip(pdf["src"].tolist(), pdf["dst"].tolist())))
-    assert set(roots) == set(g)
-    for v, r in roots.items():
+    for v, r in zip(verts.tolist(), root.tolist()):
         assert groups[r] == nx.node_connected_component(g, v)
+        assert r == min(groups[r])
 
 
 def test_components_pandas_chain():
-    pdf = pd.DataFrame({"src": [1, 2, 3], "dst": [2, 3, 4]})
-    roots = components_pandas(pdf, extra_vertices=[99])
-    assert len({roots[v] for v in (1, 2, 3, 4)}) == 1
-    assert roots[99] != roots[1]
+    """A vertex in no edge is its own component; an edge leaving the
+    vertex set is ignored (the components of the induced subgraph)."""
+    edges = np.array([[1, 2], [2, 3], [3, 4], [4, 7]])
+    verts, root = components(edges, [1, 2, 3, 4, 99])
+    assert verts.tolist() == [1, 2, 3, 4, 99]
+    assert root.tolist() == [1, 1, 1, 1, 99]
+    verts, root = components(edges, [])
+    assert verts.size == root.size == 0

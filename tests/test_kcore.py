@@ -1,7 +1,7 @@
 """Classical k-core: the Psi = edge (k,Psi)-core code vs exact peeling.
 
 The driver peel is ``peel_decompose`` with the edge array as the member
-matrix. The Spark loops are checked against networkx, so that their
+matrix. The Spark h-index loop is checked against networkx, so that its
 oracle does not depend on the peel."""
 from math import comb
 
@@ -10,7 +10,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.cores.clique_core import clique_core, clique_core_numbers_hindex, peel_decompose
+from repro.cores.clique_core import clique_core_numbers_hindex, peel_decompose
 from repro.cores.coreapp import gamma_upper_bounds
 from repro.graph import generators as gen
 from repro.graph.ops import degrees, edges_from_pandas
@@ -23,11 +23,6 @@ def hindex_core_numbers(spark, g) -> dict:
         r["v"]: r["core"]
         for r in clique_core_numbers_hindex(spark, g, edge()).collect()
     }
-
-
-def k_core_vertices(spark, g, k: int) -> set:
-    """Vertices of the k-core from the fixed-k pruning loop."""
-    return {r["v"] for r in clique_core(spark, g, k, edge()).collect()}
 
 
 def edge_core_numbers(pdf: pd.DataFrame) -> dict:
@@ -87,33 +82,6 @@ def test_distributed_on_powerlaw(spark):
 def test_kn_core_numbers(spark):
     g = edges_from_pandas(spark, gen.clique_pandas(range(8)))
     assert hindex_core_numbers(spark, g) == {v: 7 for v in range(8)}
-
-
-def test_k_core_subgraph_fixpoint(spark):
-    pdf = gen.compose(
-        gen.clique_pandas(range(6)), gen.erdos_renyi_pandas(40, 0.05, seed=2, offset=10)
-    )
-    g = edges_from_pandas(spark, pdf)
-    core5 = k_core_vertices(spark, g, 5)
-    # every vertex of the 5-core has degree >= 5 inside it
-    inside = pdf[pdf["src"].isin(core5) & pdf["dst"].isin(core5)]
-    d = pd.concat([inside["src"], inside["dst"]]).value_counts().to_dict()
-    assert set(d) == core5
-    assert d and min(d.values()) >= 5
-    assert set(d) >= set(range(6))
-
-
-def test_k_core_empty_when_too_large(spark):
-    g = edges_from_pandas(spark, gen.clique_pandas(range(4)))
-    assert k_core_vertices(spark, g, 4) == set()
-
-
-def test_k_core_matches_core_numbers(spark):
-    pdf = gen.erdos_renyi_pandas(50, 0.1, seed=11)
-    g = edges_from_pandas(spark, pdf)
-    cn = nx_core_numbers(pdf)
-    for k in (1, 2, 3):
-        assert k_core_vertices(spark, g, k) == {v for v, c in cn.items() if c >= k}
 
 
 def test_kmax_core():

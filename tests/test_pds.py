@@ -1,9 +1,8 @@
 """PDS problem (§7): pattern-densest subgraphs + Table-5-style invariants."""
 import pytest
 
-from repro.cores.clique_core import density_of
 from repro.densest.bruteforce import brute_force_densest
-from repro.densest.common import gather
+from repro.densest.common import exact_density, gather
 from repro.densest.core_exact import core_exact
 from repro.densest.exact import exact_densest
 from repro.graph import generators as gen
@@ -62,7 +61,7 @@ def test_pds_density_dominates_eds_density(spark):
     for pat in (star(2), diamond()):
         allv, members = gather(spark, g, pat)
         rho_opt = core_exact(spark, g, pat).density
-        rho_eds = density_of(members, set(eds.vertices))
+        rho_eds = float(exact_density(members, eds.vertices))
         assert rho_opt >= rho_eds - 1e-9
 
 
