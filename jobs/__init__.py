@@ -1,1 +1,2 @@
-"""spark-submit entrypoints, one per reproduced table (see DESIGN.md §3)."""
+"""Table jobs, one per reproduced table (see DESIGN.md §3), run by
+``scripts/run_experiments.py``."""

@@ -4,7 +4,7 @@ For every stand-in: generated |V|, |E| next to the paper's values, the
 number of connected components, the classical k_max, and — for the
 small graphs — the (k_max, triangle)-core size (Fig. 19 column).
 
-Run: spark-submit jobs/table2_datasets.py [--full]
+Run: python scripts/run_experiments.py table2
 """
 from __future__ import annotations
 
@@ -49,18 +49,3 @@ def run(spark: SparkSession, names=None, triangle_stats: bool = True) -> pd.Data
             row["tri_core_size"] = len(pr.kmax_core)
         rows.append(row)
     return pd.DataFrame(rows)
-
-
-def main():  # pragma: no cover - spark-submit entrypoint
-    spark = (
-        SparkSession.builder.appName("table2")
-        .config("spark.ui.showConsoleProgress", "false")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .getOrCreate()
-    )
-    print(run(spark).to_string(index=False))
-    spark.stop()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

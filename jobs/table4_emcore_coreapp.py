@@ -3,12 +3,11 @@ on the five largest dataset stand-ins. Each cell is the median of
 ``REPEATS`` timed runs: single runs of one cell moved the ratio by up to
 2x on this table.
 
-Run: spark-submit jobs/table4_emcore_coreapp.py
+Run: python scripts/run_experiments.py table4
 """
 from __future__ import annotations
 
 import statistics
-import time
 
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -21,14 +20,6 @@ from repro.patterns import edge
 REPEATS = 3  # timed runs per algorithm and cell; the median is reported
 
 
-def _timed(fn, times: list):
-    """Call ``fn``, append its wall time to ``times``, return its result."""
-    t0 = time.perf_counter()
-    out = fn()
-    times.append(time.perf_counter() - t0)
-    return out
-
-
 def run(spark: SparkSession, names=None) -> pd.DataFrame:
     names = list(names) if names else list(ds.LARGE)
     rows = []
@@ -38,8 +29,10 @@ def run(spark: SparkSession, names=None) -> pd.DataFrame:
 
         em_s, ca_s = [], []
         for _ in range(REPEATS):  # alternate, so drift hits both alike
-            k_em, v_em, _ = _timed(lambda: kmax_core_emcore(spark, g), em_s)
-            k_ca, v_ca, _ = _timed(lambda: kmax_core_coreapp(spark, g, edge()), ca_s)
+            k_em, v_em, info_em = kmax_core_emcore(spark, g)
+            k_ca, v_ca, info_ca = kmax_core_coreapp(spark, g, edge())
+            em_s.append(info_em["timings"]["total"])
+            ca_s.append(info_ca["timings"]["total"])
         t_em, t_ca = statistics.median(em_s), statistics.median(ca_s)
 
         assert k_em == k_ca, (name, k_em, k_ca)
@@ -54,18 +47,3 @@ def run(spark: SparkSession, names=None) -> pd.DataFrame:
             }
         )
     return pd.DataFrame(rows)
-
-
-def main():  # pragma: no cover
-    spark = (
-        SparkSession.builder.appName("table4")
-        .config("spark.ui.showConsoleProgress", "false")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .getOrCreate()
-    )
-    print(run(spark).to_string(index=False))
-    spark.stop()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

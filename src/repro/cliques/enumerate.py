@@ -32,7 +32,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, functions as F
 
-from repro.graph.ops import edge_array, vertices
+from repro.graph.ops import edge_array
 
 
 # DAG rows per partition: 64 MiB of (long, long), Spark's default advisory
@@ -79,19 +79,17 @@ def _levels_sql(h: int) -> str:
 def clique_instances(
     spark: SparkSession, edges: DataFrame, h: int, edge_arr: np.ndarray | None = None
 ) -> DataFrame:
-    """All h-clique instances — columns v1..vh, one row each.
+    """All h-clique instances, h >= 2 — columns v1..vh, one row each.
 
-    h=1 returns the vertex set. h=2 returns the canonical edges as
-    (v1, v2) = (src, dst), with no orientation. For h >= 3 the columns
-    are in rank order, and each instance appears exactly once because
-    tuples follow the orientation's total order. The orientation runs on
+    h=2 returns the canonical edges as (v1, v2) = (src, dst), with no
+    orientation. For h >= 3 the columns are in rank order, and each
+    instance appears exactly once because tuples follow the
+    orientation's total order. The orientation runs on
     ``edge_arr``, ``edges`` collected to the driver (pass it when the
     caller already holds it; either way the rows are the same).
     """
-    if h < 1:
-        raise ValueError("h must be >= 1")
-    if h == 1:
-        return vertices(edges).select(F.col("v").alias("v1"))
+    if h < 2:
+        raise ValueError("h must be >= 2")
     if h == 2:
         return edges.select(F.col("src").alias("v1"), F.col("dst").alias("v2"))
     if edge_arr is None:

@@ -22,8 +22,6 @@ classical one behind gamma included, is the level-synchronous
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, functions as F
@@ -38,6 +36,7 @@ from repro.cores.clique_core import (
 from repro.graph.ops import edge_array, induced_subgraph, vertices as graph_vertices
 from repro.patterns.base import Pattern
 from repro.patterns.instances import pattern_degrees, pattern_instances
+from repro.phases import PhaseClock
 
 
 def kmax_core_coreapp(
@@ -47,17 +46,19 @@ def kmax_core_coreapp(
     w0: int | None = None,
 ) -> tuple:
     """Returns (kmax, core_vertices, info) — the (k_max, Psi)-core of G."""
-    t0 = time.perf_counter()
+    clock = PhaseClock()
     on_driver = pattern.kind == "clique"
-    if on_driver:
-        edge_arr = edge_array(edges)
-        vs, gamma = gamma_upper_bounds(edge_arr, pattern.h)
-    else:
-        vs, gamma = _pattern_gamma(spark, edges, pattern)
-    rank = np.lexsort((vs, -gamma))  # gamma desc, then v asc
-    order, gammas = vs[rank], gamma[rank]
+    with clock.phase("enumerate"):
+        if on_driver:
+            edge_arr = edge_array(edges)
+        else:
+            vs, gamma = _pattern_gamma(spark, edges, pattern)
+    with clock.phase("decompose"):
+        if on_driver:
+            vs, gamma = gamma_upper_bounds(edge_arr, pattern.h)
+        rank = np.lexsort((vs, -gamma))  # gamma desc, then v asc
+        order, gammas = vs[rank], gamma[rank]
     n = len(order)
-    t_rank = time.perf_counter() - t0
 
     # Algorithm 6 leaves the initial W unspecified ("initialize W"); we
     # take max(32, 4|V_Psi|, n/32) so round count stays logarithmic in
@@ -67,21 +68,24 @@ def kmax_core_coreapp(
     while True:
         rounds += 1
         W = order[:w]
-        if on_driver:
-            sub = edge_arr[np.isin(edge_arr, W).all(axis=1)]
-            members = clique_members(sub, pattern.h)
-        else:
-            wdf = spark.createDataFrame(pd.DataFrame({"v": W}), "v long")
-            sub = induced_subgraph(edges, wdf).localCheckpoint(eager=True)
-            inst = pattern_instances(spark, sub, pattern)
-            members = collect_instances(inst, pattern)
-        pr = peel_decompose(members, W)
+        with clock.phase("enumerate"):
+            if on_driver:
+                sub = edge_arr[np.isin(edge_arr, W).all(axis=1)]
+                members = clique_members(sub, pattern.h)
+            else:
+                wdf = spark.createDataFrame(pd.DataFrame({"v": W}), "v long")
+                sub = induced_subgraph(edges, wdf).localCheckpoint(eager=True)
+                inst = pattern_instances(spark, sub, pattern)
+                members = collect_instances(inst, pattern)
+        with clock.phase("decompose"):
+            pr = peel_decompose(members, W)
         if pr.kmax >= kmax:
             kmax = pr.kmax
             core_verts = pr.kmax_core
             # G[core] is induced in G[W], so its instances are exactly
             # the rows of ``members`` that lie inside the core
-            core_instances = int(instances_inside(members, core_verts).sum())
+            with clock.phase("locate"):
+                core_instances = int(instances_inside(members, core_verts).sum())
         if w >= n or gammas[w] < kmax:
             break
         w = min(n, 2 * w)
@@ -92,8 +96,7 @@ def kmax_core_coreapp(
         # smallest vertex id: the one-vertex answer when k_max = 0
         "min_vertex": int(order.min()) if n else None,
         "core_instances": core_instances,
-        "t_rank": t_rank,
-        "t_total": time.perf_counter() - t0,
+        "timings": clock.timings(),
     }
     return kmax, core_verts, info
 

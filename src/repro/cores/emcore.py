@@ -20,30 +20,33 @@ edge array as the member matrix (Def. 6 with Psi = edge is Def. 5).
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
 # the (k,Psi)-core peel with Psi = edge; the benchmark tracer wraps this name
 from repro.cores.clique_core import core_decompose as core_numbers_peel
 from repro.graph.ops import edge_array
+from repro.phases import PhaseClock
 
 
 def kmax_core_emcore(spark: SparkSession, edges: DataFrame) -> tuple:
     """Returns (kmax, core_vertices, info) for classical (edge) cores."""
-    t0 = time.perf_counter()
-    edge_arr = edge_array(edges)
-    vs, deg = np.unique(edge_arr, return_counts=True)
+    clock = PhaseClock()
+    with clock.phase("enumerate"):
+        edge_arr = edge_array(edges)
+    with clock.phase("decompose"):
+        vs, deg = np.unique(edge_arr, return_counts=True)
     d = int(deg.max()) if len(deg) else 0
     rounds = 0
     t = max(1, d // 2)
     while True:
         rounds += 1
-        hv = vs[deg >= t]
-        inside = np.isin(edge_arr, hv).all(axis=1)
-        pr = core_numbers_peel(edge_arr[inside], hv)
+        # with Psi = edge, the block's instances are its edges
+        with clock.phase("enumerate"):
+            hv = vs[deg >= t]
+            block = edge_arr[np.isin(edge_arr, hv).all(axis=1)]
+        with clock.phase("decompose"):
+            pr = core_numbers_peel(block, hv)
         if pr.kmax >= t or t <= 1:
-            info = {"rounds": rounds, "t_total": time.perf_counter() - t0}
-            return pr.kmax, pr.kmax_core, info
+            return pr.kmax, pr.kmax_core, {"rounds": rounds, "timings": clock.timings()}
         t = max(1, t // 2)

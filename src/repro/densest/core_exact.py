@@ -33,7 +33,6 @@ printed Algorithm 4 returns the empty set there; DESIGN.md).
 from __future__ import annotations
 
 import math
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -46,6 +45,7 @@ from repro.densest.network import build_network, lemma8_keep_mask, min_cut_verti
 # the array components kernel; the benchmark tracer wraps this import name
 from repro.graph.ops import components as components_pandas, edge_array
 from repro.patterns.base import Pattern
+from repro.phases import PhaseClock
 
 
 def core_exact(
@@ -56,18 +56,16 @@ def core_exact(
     use_p2: bool = True,
     use_lemma8: bool = True,
 ) -> DSDResult:
-    t_start = time.perf_counter()
+    clock = PhaseClock()
     grouped = pattern.kind != "clique"  # construct+ for non-clique patterns
     p = pattern.nv
 
-    # CoreExact targets small/moderate graphs (§8 remark)
-    edge_arr = edge_array(edges)
-    allv, members = gather(spark, edges, pattern, edge_arr=edge_arr)
-    t_enum = time.perf_counter() - t_start
-
-    t1 = time.perf_counter()
-    pr = peel_decompose(members, allv)
-    t_dec = time.perf_counter() - t1
+    with clock.phase("enumerate"):
+        # CoreExact targets small/moderate graphs (§8 remark)
+        edge_arr = edge_array(edges)
+        allv, members = gather(spark, edges, pattern, edge_arr=edge_arr)
+    with clock.phase("decompose"):
+        pr = peel_decompose(members, allv)
 
     n = len(allv)
     kmax = pr.kmax
@@ -86,13 +84,8 @@ def core_exact(
         stats.update(located_vertices=0, components=0,
                      lower_bound=f"{dens.numerator}/{dens.denominator}")
         stats["certificate"] = certificate(verts, dens, dens)
-        return DSDResult(
-            "CoreExact", pattern.name, sorted(verts), float(dens),
-            kmax=kmax,
-            timings={"enumerate": t_enum, "decompose": t_dec, "flow": 0.0,
-                     "total": time.perf_counter() - t_start},
-            stats=stats,
-        )
+        return DSDResult("CoreExact", pattern.name, sorted(verts), float(dens),
+                         kmax=kmax, timings=clock.timings(), stats=stats)
 
     core_map = pr.core
 
@@ -107,58 +100,60 @@ def core_exact(
         cuts = np.flatnonzero(np.diff(root[order])) + 1
         return [c.tolist() for c in np.split(verts[order], cuts) if c.size]
 
-    t2 = time.perf_counter()
     # -- tighter bounds + localization (exact fractions) --------------------
-    # best starts as the peel's best residual set, whose density is rho'
-    best = list(pr.best_vertices) if pr.best_vertices else allv[:1]
-    best_d = exact_density(members, best)
-    l = Fraction(kmax, p)
-    if use_p1:
-        l = max(l, best_d)
-    k_loc = math.ceil(l)
+    with clock.phase("locate"):
+        # best starts as the peel's best residual set, whose density is rho'
+        best = list(pr.best_vertices) if pr.best_vertices else allv[:1]
+        best_d = exact_density(members, best)
+        l = Fraction(kmax, p)
+        if use_p1:
+            l = max(l, best_d)
+        k_loc = math.ceil(l)
 
-    comps = comps_of(core_vertices(k_loc))
-    if use_p2:
-        for c in comps:
-            d = exact_density(members, c)
-            l = max(l, d)
-            if d > best_d:
-                best_d, best = d, sorted(c)
-        if math.ceil(l) > k_loc:
-            k_loc = math.ceil(l)
-            comps = comps_of(core_vertices(k_loc))
+        comps = comps_of(core_vertices(k_loc))
+        if use_p2:
+            for c in comps:
+                d = exact_density(members, c)
+                l = max(l, d)
+                if d > best_d:
+                    best_d, best = d, sorted(c)
+            if math.ceil(l) > k_loc:
+                k_loc = math.ceil(l)
+                comps = comps_of(core_vertices(k_loc))
     stats["located_vertices"] = sum(len(c) for c in comps)
     stats["components"] = len(comps)
     stats["lower_bound"] = f"{l.numerator}/{l.denominator}"
-    t_locate = time.perf_counter() - t2
 
     def network_for(cset: set, alpha: Fraction) -> tuple:
         """Flow network of G[cset] at ``alpha``, Lemma-8 pruned."""
-        mem_c = members[instances_inside(members, cset)]
-        keep = lemma8_keep_mask(mem_c, len(cset)) if use_lemma8 else None
-        stats["network_builds"] += 1
-        return build_network(cset, mem_c, alpha, p, grouped=grouped, keep_mask=keep)
+        with clock.phase("build"):
+            mem_c = members[instances_inside(members, cset)]
+            keep = lemma8_keep_mask(mem_c, len(cset)) if use_lemma8 else None
+            stats["network_builds"] += 1
+            return build_network(cset, mem_c, alpha, p, grouped=grouped, keep_mask=keep)
 
     def solve(nw: tuple, alpha: Fraction) -> list:
         net, s, t, vid2node, n_nodes = nw
-        net.set_alpha(alpha)
+        with clock.phase("flow"):
+            net.set_alpha(alpha)
+            cut = min_cut_vertices(net, s, t, vid2node)
         stats["network_sizes"].append(n_nodes)
         stats["iterations"] += 1
-        return min_cut_vertices(net, s, t, vid2node)
+        return cut
 
     # -- per-component Dinkelbach search --------------------------------------
     # alpha never falls: each component starts at l, the highest density
     # reached so far. A component is done when no set of it is denser
     # than its alpha: the cut at alpha is empty, or the ceil(alpha)-core
     # part of it has fewer than two vertices.
-    t3 = time.perf_counter()
     for comp in comps:
         cset = set(comp)
         cur_k = k_loc
         alpha = l
         if math.ceil(alpha) > cur_k:
             cur_k = math.ceil(alpha)
-            cset &= core_vertices(cur_k)
+            with clock.phase("locate"):
+                cset &= core_vertices(cur_k)
         if len(cset) < 2:
             continue
         nw = network_for(cset, alpha)
@@ -166,35 +161,23 @@ def core_exact(
             cut = solve(nw, alpha)
             if not cut:
                 break
-            alpha = exact_density(members, cut)  # > the alpha just probed
-            if alpha > best_d:
-                best_d, best = alpha, sorted(cut)
-            if math.ceil(alpha) > cur_k:
-                # the densest set, if denser than alpha, has every
-                # clique-degree >= its density: it is in the ceil(alpha)-core
-                cur_k = math.ceil(alpha)
-                smaller = cset & core_vertices(cur_k)
-                if len(smaller) < 2:
-                    break
-                if len(smaller) < len(cset):
-                    cset = smaller
-                    nw = network_for(cset, alpha)
+            with clock.phase("locate"):
+                alpha = exact_density(members, cut)  # > the alpha just probed
+                if alpha > best_d:
+                    best_d, best = alpha, sorted(cut)
+                smaller = cset
+                if math.ceil(alpha) > cur_k:
+                    # the densest set, if denser than alpha, has every
+                    # clique-degree >= its density: it is in the ceil(alpha)-core
+                    cur_k = math.ceil(alpha)
+                    smaller = cset & core_vertices(cur_k)
+            if len(smaller) < 2:
+                break
+            if len(smaller) < len(cset):
+                cset = smaller
+                nw = network_for(cset, alpha)
         l = max(l, alpha)
     stats["certificate"] = certificate(best, best_d, l)
-    t_flow = time.perf_counter() - t3
 
-    return DSDResult(
-        "CoreExact",
-        pattern.name,
-        best,
-        float(best_d),
-        kmax=kmax,
-        timings={
-            "enumerate": t_enum,
-            "decompose": t_dec,
-            "locate": t_locate,
-            "flow": t_flow,
-            "total": time.perf_counter() - t_start,
-        },
-        stats=stats,
-    )
+    return DSDResult("CoreExact", pattern.name, best, float(best_d), kmax=kmax,
+                     timings=clock.timings(), stats=stats)

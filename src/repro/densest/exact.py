@@ -17,13 +17,12 @@ DESIGN.md layering).
 """
 from __future__ import annotations
 
-import time
-
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.densest.common import DSDResult, certificate, exact_density, gather
 from repro.densest.network import build_network, min_cut_vertices
 from repro.patterns.base import Pattern
+from repro.phases import PhaseClock
 
 
 def exact_densest(
@@ -35,46 +34,36 @@ def exact_densest(
     """Find the CDS/PDS exactly: Algorithm 1's network, Dinkelbach's
     search (+ construct+ grouping for non-clique patterns when
     ``grouped`` is None)."""
-    t0 = time.perf_counter()
-    allv, members = gather(spark, edges, pattern)
-    t_enum = time.perf_counter() - t0
+    clock = PhaseClock()
+    with clock.phase("enumerate"):
+        allv, members = gather(spark, edges, pattern)
     if grouped is None:
         grouped = pattern.kind not in ("clique",)
 
     n = len(allv)
     stats = {"iterations": 0, "n": n, "instances": int(members.shape[0]),
              "network_sizes": [], "network_builds": 0}
-    t_flow0 = time.perf_counter()
-    if members.shape[0] == 0 or n < 2:
-        # no instances: every set has density 0, the smallest id is returned
-        best = allv[:1]
+    solvable = members.shape[0] > 0 and n >= 2
+    # no instances: every set has density 0, the smallest id is returned
+    best = allv if solvable else allv[:1]
+    with clock.phase("locate"):
         alpha = exact_density(members, best)
-    else:
-        best = allv
-        alpha = exact_density(members, best)
-        net, s, t, vid2node, n_nodes = build_network(
-            allv, members, alpha, pattern.nv, grouped=grouped)
+    if solvable:
+        with clock.phase("build"):
+            net, s, t, vid2node, n_nodes = build_network(
+                allv, members, alpha, pattern.nv, grouped=grouped)
         stats["network_builds"] = 1
         while True:
-            net.set_alpha(alpha)
-            cut = min_cut_vertices(net, s, t, vid2node)
+            with clock.phase("flow"):
+                net.set_alpha(alpha)
+                cut = min_cut_vertices(net, s, t, vid2node)
             stats["network_sizes"].append(n_nodes)
             if not cut:
                 break
             best = cut
-            alpha = exact_density(members, best)
+            with clock.phase("locate"):
+                alpha = exact_density(members, best)
     stats["iterations"] = len(stats["network_sizes"])
     stats["certificate"] = certificate(best, alpha, alpha)
-    t_flow = time.perf_counter() - t_flow0
-    return DSDResult(
-        "Exact",
-        pattern.name,
-        sorted(best),
-        float(alpha),
-        timings={
-            "enumerate": t_enum,
-            "flow": t_flow,
-            "total": time.perf_counter() - t0,
-        },
-        stats=stats,
-    )
+    return DSDResult("Exact", pattern.name, sorted(best), float(alpha),
+                     timings=clock.timings(), stats=stats)

@@ -2,13 +2,12 @@
 (k_max, Psi)-core — a 1/|V_Psi|-approximation by Lemma 9."""
 from __future__ import annotations
 
-import time
-
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.cores.clique_core import core_decompose
 from repro.densest.common import DSDResult, exact_density, gather
 from repro.patterns.base import Pattern
+from repro.phases import PhaseClock
 
 
 def inc_app(
@@ -16,23 +15,14 @@ def inc_app(
     edges: DataFrame,
     pattern: Pattern,
 ) -> DSDResult:
-    t0 = time.perf_counter()
-    allv, members = gather(spark, edges, pattern)
-    t_enum = time.perf_counter() - t0
-    t1 = time.perf_counter()
-    pr = core_decompose(members, allv)
+    clock = PhaseClock()
+    with clock.phase("enumerate"):
+        allv, members = gather(spark, edges, pattern)
+    with clock.phase("decompose"):
+        pr = core_decompose(members, allv)
     core_verts = pr.kmax_core or allv[:1]
-    t_dec = time.perf_counter() - t1
-    return DSDResult(
-        "IncApp",
-        pattern.name,
-        core_verts,
-        float(exact_density(members, core_verts)),
-        kmax=pr.kmax,
-        timings={
-            "enumerate": t_enum,
-            "decompose": t_dec,
-            "total": time.perf_counter() - t0,
-        },
-        stats={"instances": int(members.shape[0]), "n": len(allv)},
-    )
+    with clock.phase("locate"):
+        dens = float(exact_density(members, core_verts))
+    return DSDResult("IncApp", pattern.name, core_verts, dens, kmax=pr.kmax,
+                     timings=clock.timings(),
+                     stats={"instances": int(members.shape[0]), "n": len(allv)})

@@ -6,13 +6,12 @@ returns the densest residual prefix.
 """
 from __future__ import annotations
 
-import time
-
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.cores.clique_core import peel_decompose
 from repro.densest.common import DSDResult, exact_density, gather
 from repro.patterns.base import Pattern
+from repro.phases import PhaseClock
 
 
 def peel_app(
@@ -20,24 +19,15 @@ def peel_app(
     edges: DataFrame,
     pattern: Pattern,
 ) -> DSDResult:
-    t0 = time.perf_counter()
-    allv, members = gather(spark, edges, pattern)
-    t_enum = time.perf_counter() - t0
-    t1 = time.perf_counter()
-    pr = peel_decompose(members, allv)
-    t_peel = time.perf_counter() - t1
+    clock = PhaseClock()
+    with clock.phase("enumerate"):
+        allv, members = gather(spark, edges, pattern)
+    with clock.phase("decompose"):
+        pr = peel_decompose(members, allv)
     # with no instance every set has density 0; the smallest id answers
     verts = pr.best_vertices if pr.kmax else allv[:1]
-    return DSDResult(
-        "PeelApp",
-        pattern.name,
-        sorted(verts),
-        float(exact_density(members, verts)),
-        kmax=pr.kmax,
-        timings={
-            "enumerate": t_enum,
-            "peel": t_peel,
-            "total": time.perf_counter() - t0,
-        },
-        stats={"instances": int(members.shape[0]), "n": len(allv)},
-    )
+    with clock.phase("locate"):
+        dens = float(exact_density(members, verts))
+    return DSDResult("PeelApp", pattern.name, sorted(verts), dens, kmax=pr.kmax,
+                     timings=clock.timings(),
+                     stats={"instances": int(members.shape[0]), "n": len(allv)})

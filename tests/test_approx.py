@@ -139,16 +139,6 @@ def test_peelapp_returns_best_residual(spark):
     assert res.density == pytest.approx(2.0)
 
 
-def test_approx_results_have_timings(spark):
-    pdf = gen.erdos_renyi_pandas(20, 0.25, seed=11)
-    g = edges_from_pandas(spark, pdf)
-    for fn in (peel_app, inc_app):
-        r = fn(spark, g, triangle())
-        assert r.timings["total"] > 0
-    r = core_app(spark, g, triangle())
-    assert r.timings["total"] > 0
-
-
 RECOUNT_PATTERNS = PATTERNS + [clique(4)]
 
 

@@ -108,10 +108,12 @@ def test_path_graph_has_only_edges(spark):
         assert count_cliques(spark, g, 3, lister) == 0
 
 
-def test_h1_is_vertices(spark, rand_graph):
+def test_h_below_2_rejected(spark, rand_graph):
     g, pdf = rand_graph
-    n = len(set(pdf["src"]) | set(pdf["dst"]))
-    assert clique_instances(spark, g, 1).count() == n
+    with pytest.raises(ValueError):
+        clique_instances(spark, g, 1)
+    with pytest.raises(ValueError):
+        clique_members(pdf[["src", "dst"]].to_numpy(), 1)
 
 
 def test_h2_is_edges(spark, rand_graph):

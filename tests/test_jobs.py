@@ -1,6 +1,9 @@
 """Integration: every table job runs end-to-end at tiny scale."""
 
 from jobs import table2_datasets, table3_decomp_pct, table4_emcore_coreapp, table5_densities
+from repro.densest.common import exact_density, gather
+from repro.densest.core_exact import core_exact
+from repro.graph import datasets as ds
 from repro.patterns import clique
 
 
@@ -35,10 +38,15 @@ def test_table4_one_dataset(spark):
 
 
 def test_table5_tiny(spark):
-    df = table5_densities.run(
-        spark, names=["s_dblp"], patterns=(clique(2), clique(3)), with_approx=True
-    )
+    pats = (clique(2), clique(3))
+    df = table5_densities.run(spark, names=["s_dblp"], patterns=pats, with_approx=True)
     assert len(df) == 2
+    # rho(EDS, Psi), listed on G[EDS] alone, equals the whole graph's count
+    g = ds.dataset(spark, "s_dblp")
+    eds = core_exact(spark, g, clique(2)).vertices
+    for pat, rho_eds in zip(pats, df["rho_eds"]):
+        _, members = gather(spark, g, pat)
+        assert rho_eds == float(exact_density(members, eds))
     # rho_opt always dominates the EDS's density for the same pattern
     assert (df["rho_opt"] >= df["rho_eds"] - 1e-9).all()
     assert ((df["peel_ratio"] <= 1 + 1e-9) & (df["peel_ratio"] > 0)).all()
