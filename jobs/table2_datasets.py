@@ -12,11 +12,11 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.cores.clique_core import collect_instances, core_decompose
+from repro.cores.clique_core import core_decompose
 from repro.graph import datasets as ds
 from repro.graph.ops import components
 from repro.patterns import triangle
-from repro.patterns.instances import pattern_instances
+from repro.patterns.instances import collect_instances, pattern_instances
 
 
 def run(spark: SparkSession, names=None, triangle_stats: bool = True) -> pd.DataFrame:

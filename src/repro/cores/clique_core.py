@@ -1,12 +1,6 @@
-"""(k, Psi)-core machinery (Def. 6, Alg. 3) for cliques and patterns.
+"""(k, Psi)-core machinery (Def. 6, Alg. 3) for cliques and patterns,
+on the driver over an instance member matrix.
 
-* ``clique_core_numbers_hindex`` — all clique-core numbers by the local
-  h-operator fixpoint over instances. Each round: per instance compute, for
-  every member v, the minimum estimate among the *other* members; per vertex
-  take the h-index of those values; clamp monotonically. This is the
-  distributed rendition of the AND nucleus-decomposition algorithm [46] that
-  the paper benchmarks as "Nucleus", and it converges to exactly the peeling
-  core numbers (cross-checked in tests).
 * ``core_decompose``             — the exact driver-side core decomposition
   (Algorithm 3) by level-synchronous peeling, producing what
   CoreExact/IncApp/CoreApp/EMcore need: core numbers, kmax, the kmax-core
@@ -14,8 +8,11 @@
 * ``peel_decompose``             — the one-vertex-at-a-time heap peel of
   PeelApp (Algorithm 2): the same core numbers, plus the peel order and
   its densest residual prefix.
+* ``hindex_core_numbers``        — the same core numbers by the local
+  h-operator fixpoint of the AND nucleus decomposition [46], the
+  algorithm the paper benchmarks as "Nucleus".
 
-All three take any pattern, so with Psi = edge (Def. 6 reduces to Def. 5)
+Each takes any pattern, so with Psi = edge (Def. 6 reduces to Def. 5)
 they are also the classical k-core and core numbers: EMcore and CoreApp's
 gamma peel the edge array with ``core_decompose``.
 """
@@ -25,86 +22,6 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
-from pyspark.sql import DataFrame, SparkSession, functions as F
-
-from repro.graph.ops import vertices as graph_vertices
-from repro.patterns.base import Pattern
-from repro.patterns.instances import instances_long, member_cols, pattern_instances
-
-# h-index of an array column named ``vals`` (sorted desc, count prefix x>=rank)
-_HINDEX = (
-    "size(filter(transform(sort_array(vals, false), (x, i) -> x >= i + 1), b -> b))"
-)
-# convergence guard of the Spark fixpoint loop
-_MAX_ROUNDS = 10_000
-
-
-def clique_core_numbers_hindex(
-    spark: SparkSession,
-    edges: DataFrame,
-    pattern: Pattern,
-    inst: DataFrame | None = None,
-) -> DataFrame:
-    """Clique/pattern core numbers — columns (v, core). Distributed AND.
-
-    Vertices appearing in no instance have core 0 and are included.
-    """
-    if inst is None:
-        inst = pattern_instances(spark, edges, pattern)
-    long = instances_long(inst, pattern).localCheckpoint(eager=True)
-    allv = graph_vertices(edges).localCheckpoint(eager=True)
-    est = (
-        long.groupBy("v").agg(F.count("*").cast("int").alias("est"))
-    ).localCheckpoint(eager=True)
-    for _ in range(_MAX_ROUNDS):
-        joined = long.join(est, "v")
-        two_smallest = joined.groupBy("iid").agg(
-            F.slice(F.sort_array(F.collect_list(F.struct("est", "v"))), 1, 2).alias("sl")
-        )
-        min_excl = (
-            joined.join(two_smallest, "iid")
-            .select(
-                "iid",
-                "v",
-                F.when(
-                    (F.col("v") == F.col("sl")[0]["v"])
-                    & (F.col("est") == F.col("sl")[0]["est"]),
-                    F.col("sl")[1]["est"],
-                )
-                .otherwise(F.col("sl")[0]["est"])
-                .alias("mx"),
-            )
-        )
-        new = (
-            min_excl.groupBy("v")
-            .agg(F.collect_list("mx").alias("vals"))
-            .select("v", F.expr(_HINDEX).alias("rho"))
-            .join(est, "v")
-            .select("v", F.least("est", "rho").alias("est"))
-            .localCheckpoint(eager=True)
-        )
-        changed = (
-            new.alias("n")
-            .join(est.alias("o"), "v")
-            .where(F.col("n.est") != F.col("o.est"))
-            .limit(1)
-            .count()
-        )
-        est = new
-        if changed == 0:
-            break
-    else:  # pragma: no cover
-        raise RuntimeError("clique core h-index did not converge")
-    return (
-        allv.join(est, "v", "left")
-        .select("v", F.coalesce("est", F.lit(0)).alias("core"))
-    )
-
-
-# ---------------------------------------------------------------------------
-# Exact driver-side core decomposition (Algorithm 3): the level-synchronous
-# peel every core consumer reads, and PeelApp's one-vertex heap peel.
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -124,14 +41,6 @@ class PeelResult(CoreDecomposition):
     residual over every prefix of ``order`` (PeelApp's S*)."""
 
     order: list  # removal order (all vertices)
-
-
-def collect_instances(inst: DataFrame, pattern: Pattern) -> np.ndarray:
-    """Instance member matrix (num_instances, |V_Psi|) as int64."""
-    pdf = inst.select(*member_cols(pattern)).toPandas()
-    if len(pdf) == 0:
-        return np.empty((0, pattern.nv), dtype=np.int64)
-    return pdf.to_numpy(dtype=np.int64)
 
 
 def _vertex_index(members: np.ndarray, all_vertices) -> tuple:
@@ -289,6 +198,41 @@ def peel_decompose(members: np.ndarray, all_vertices) -> PeelResult:
         best_vertices=sorted(best_vertices),
         n_instances=ninst,
     )
+
+
+def hindex_core_numbers(members: np.ndarray, all_vertices) -> dict:
+    """Vertex -> (k,Psi)-core number by the local h-operator fixpoint.
+
+    Takes the arguments of ``core_decompose`` and returns the same
+    ``core`` mapping, by the synchronous AND rounds of Sariyuce, Seshadhri
+    & Pinar ("Local Algorithms for Hierarchical Dense Subgraph Discovery",
+    PVLDB 2018; h-index -> coreness per Lu et al., Nat. Commun. 2016).
+    Every estimate starts at the clique-degree. Each round gives every
+    member of an instance the smallest estimate among the instance's
+    *other* members; a vertex's new estimate is the h-index of its values,
+    capped by its old one. The estimates are non-negative integers that
+    only fall, so the rounds stop, at the core numbers.
+    """
+    verts, pos, slot, deg, start = _vertex_index(members, all_vertices)
+    n = len(verts)
+    ninst, p = members.shape
+    rows = pos.reshape(ninst, p)
+    grp = np.repeat(np.arange(n), deg)  # each CSR slot's vertex rank
+    nth = np.arange(slot.size) - start[grp]  # each slot's place in its group
+    est = deg.copy()
+    while True:
+        vals = est[rows]
+        low = np.sort(vals, axis=1)[:, :2]  # two smallest per instance
+        other = np.where(vals == low[:, :1], low[:, 1:], low[:, :1]).ravel()[slot]
+        # h-index: in each vertex's values sorted descending, count the
+        # places i (from 0) that hold a value > i
+        desc = other[np.lexsort((-other, grp))]
+        h = np.bincount(grp[desc > nth], minlength=n)
+        new = np.minimum(est, h)
+        if np.array_equal(new, est):
+            break
+        est = new
+    return dict(zip(verts.tolist(), est.tolist()))
 
 
 def instances_inside(members: np.ndarray, vertex_set) -> np.ndarray:

@@ -11,31 +11,27 @@ stopping criterion makes the final core globally correct: any vertex
 of the true (k_max,Psi)-core has clique-degree >= k_max, hence
 gamma >= k_max, hence is inside the final W.
 
-For clique patterns the edge list is collected once and everything
-after it is array work on the driver: ``gamma_upper_bounds`` (defined
-here, its only caller) ranks the vertices off the edge array, an
-``np.isin`` mask selects G[W]'s edges and ``clique_members`` lists its
-h-cliques (for h=2 the edges themselves). Other patterns rank by pattern
-degree and enumerate Psi on Spark in every round. Every peel, the
+The edge list is collected once and everything after it is array work
+on the driver. For clique patterns ``gamma_upper_bounds`` (defined here,
+its only caller) ranks the vertices off the edge array, an ``np.isin``
+mask selects G[W]'s edges and ``clique_members`` lists its h-cliques
+(for h=2 the edges themselves). Other patterns are listed once on Spark
+and collected; gamma is each vertex's member count, and since G[W] is
+induced, its instances are the rows that lie inside W. Every peel, the
 classical one behind gamma included, is the level-synchronous
 ``core_decompose``.
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, functions as F
+from pyspark.sql import DataFrame, SparkSession
 
 from repro.cliques.enumerate import clique_members
 # the level-synchronous peel; the benchmark tracer wraps this import name
-from repro.cores.clique_core import (
-    collect_instances,
-    core_decompose as peel_decompose,
-    instances_inside,
-)
-from repro.graph.ops import edge_array, induced_subgraph, vertices as graph_vertices
+from repro.cores.clique_core import core_decompose as peel_decompose, instances_inside
+from repro.graph.ops import edge_array
 from repro.patterns.base import Pattern
-from repro.patterns.instances import pattern_degrees, pattern_instances
+from repro.patterns.instances import collect_instances, pattern_instances
 from repro.phases import PhaseClock
 
 
@@ -49,13 +45,17 @@ def kmax_core_coreapp(
     clock = PhaseClock()
     on_driver = pattern.kind == "clique"
     with clock.phase("enumerate"):
-        if on_driver:
-            edge_arr = edge_array(edges)
-        else:
-            vs, gamma = _pattern_gamma(spark, edges, pattern)
+        edge_arr = edge_array(edges)
+        if not on_driver:
+            inst = pattern_instances(spark, edges, pattern, edge_arr=edge_arr)
+            all_members = collect_instances(inst, pattern)
     with clock.phase("decompose"):
         if on_driver:
             vs, gamma = gamma_upper_bounds(edge_arr, pattern.h)
+        else:  # gamma is the exact pattern degree, 0 in no instance
+            vs = np.unique(edge_arr)
+            gamma = np.bincount(np.searchsorted(vs, all_members.ravel()),
+                                minlength=len(vs)).astype(np.float64)
         rank = np.lexsort((vs, -gamma))  # gamma desc, then v asc
         order, gammas = vs[rank], gamma[rank]
     n = len(order)
@@ -73,10 +73,7 @@ def kmax_core_coreapp(
                 sub = edge_arr[np.isin(edge_arr, W).all(axis=1)]
                 members = clique_members(sub, pattern.h)
             else:
-                wdf = spark.createDataFrame(pd.DataFrame({"v": W}), "v long")
-                sub = induced_subgraph(edges, wdf).localCheckpoint(eager=True)
-                inst = pattern_instances(spark, sub, pattern)
-                members = collect_instances(inst, pattern)
+                members = all_members[instances_inside(all_members, W)]
         with clock.phase("decompose"):
             pr = peel_decompose(members, W)
         if pr.kmax >= kmax:
@@ -124,9 +121,7 @@ def gamma_upper_bounds(edge_arr: np.ndarray, h: int) -> tuple:
 
     Layering: gamma is a one-shot preprocessing *ranking* over the edge
     array CoreApp already holds, so the classical core numbers behind it
-    come from the linear-time driver peel ([7], as the paper does). The
-    distributed h-index fixpoint (``clique_core_numbers_hindex``) is the
-    dataflow path of the Nucleus baseline.
+    come from the linear-time driver peel ([7], as the paper does).
     """
     vs, deg = np.unique(edge_arr, return_counts=True)
     if h == 2:
@@ -137,14 +132,3 @@ def gamma_upper_bounds(edge_arr: np.ndarray, h: int) -> tuple:
     for i in range(h - 1):
         g = g * np.maximum(x - i, 0.0) / (i + 1)
     return vs, g
-
-
-def _pattern_gamma(spark: SparkSession, edges: DataFrame, pattern: Pattern) -> tuple:
-    """(vertices, gamma) of every vertex: its exact pattern degree, 0 if none."""
-    gpdf = (
-        graph_vertices(edges)
-        .join(pattern_degrees(spark, edges, pattern), "v", "left")
-        .select("v", F.coalesce("cdeg", F.lit(0)).cast("double").alias("gamma"))
-        .toPandas()
-    )
-    return gpdf["v"].to_numpy(np.int64), gpdf["gamma"].to_numpy(np.float64)

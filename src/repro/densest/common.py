@@ -7,10 +7,10 @@ from fractions import Fraction
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.cores.clique_core import collect_instances, instances_inside
+from repro.cores.clique_core import instances_inside
 from repro.graph.ops import edge_array
 from repro.patterns.base import Pattern
-from repro.patterns.instances import pattern_instances
+from repro.patterns.instances import collect_instances, pattern_instances
 
 
 @dataclass
@@ -41,10 +41,13 @@ def gather(
     The vertex ids are sorted ascending, read off the edge array (pass
     ``edge_arr`` when the caller already collected it). The edge array is
     collected first, so the clique matcher orients it without a second
-    collect; the instances are enumerated on Spark and collected once.
+    collect; the instances are enumerated on Spark and collected once. An
+    empty edge array has no instance, so nothing runs on Spark.
     """
     if edge_arr is None:
         edge_arr = edge_array(edges)
+    if not len(edge_arr):
+        return [], np.empty((0, pattern.nv), np.int64)
     inst = pattern_instances(spark, edges, pattern, edge_arr=edge_arr)
     members = collect_instances(inst, pattern)
     allv = np.unique(edge_arr).tolist()

@@ -1,14 +1,13 @@
-"""Nucleus baseline [46]: distributed local h-index (AND) decomposition,
-then return the (k_max, Psi)-core — same output as IncApp/CoreApp, timed
-as the paper's "Nucleus" competitor."""
+"""Nucleus baseline [46]: the local h-index (AND) decomposition over the
+gathered member matrix, then return the (k_max, Psi)-core — same output
+as IncApp/CoreApp, timed as the paper's "Nucleus" competitor."""
 from __future__ import annotations
 
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.cores.clique_core import clique_core_numbers_hindex, collect_instances
-from repro.densest.common import DSDResult, exact_density
+from repro.cores.clique_core import hindex_core_numbers
+from repro.densest.common import DSDResult, exact_density, gather
 from repro.patterns.base import Pattern
-from repro.patterns.instances import pattern_instances
 from repro.phases import PhaseClock
 
 
@@ -17,12 +16,11 @@ def nucleus_app(
 ) -> DSDResult:
     clock = PhaseClock()
     with clock.phase("enumerate"):
-        inst = pattern_instances(spark, edges, pattern).localCheckpoint(eager=True)
-        members = collect_instances(inst, pattern)
+        allv, members = gather(spark, edges, pattern)
     with clock.phase("decompose"):
-        cores = clique_core_numbers_hindex(spark, edges, pattern, inst=inst).toPandas()
-        kmax = int(cores["core"].max()) if len(cores) else 0
-        verts = sorted(cores.loc[cores["core"] == kmax, "v"].tolist())
+        core = hindex_core_numbers(members, allv)
+        kmax = max(core.values(), default=0)
+        verts = [v for v, c in core.items() if c == kmax]  # ascending ids
     if kmax == 0:  # no instance: every set has density 0; the smallest id answers
         verts = verts[:1]
     with clock.phase("locate"):

@@ -45,15 +45,6 @@ def symmetrize(edges: DataFrame) -> DataFrame:
     return fwd.unionByName(rev)
 
 
-def vertices(edges: DataFrame) -> DataFrame:
-    """Distinct vertex ids appearing in the edge list — column ``v``."""
-    return (
-        edges.select(F.col("src").alias("v"))
-        .unionByName(edges.select(F.col("dst").alias("v")))
-        .distinct()
-    )
-
-
 def degrees(edges: DataFrame) -> DataFrame:
     """Vertex degrees — columns (v, deg)."""
     return symmetrize(edges).groupBy(F.col("u").alias("v")).agg(

@@ -205,6 +205,14 @@ def member_cols(pattern: Pattern):
     return [f"v{i}" for i in range(1, pattern.nv + 1)]
 
 
+def collect_instances(inst: DataFrame, pattern: Pattern) -> np.ndarray:
+    """Instance member matrix (num_instances, |V_Psi|) as int64."""
+    pdf = inst.select(*member_cols(pattern)).toPandas()
+    if len(pdf) == 0:
+        return np.empty((0, pattern.nv), dtype=np.int64)
+    return pdf.to_numpy(dtype=np.int64)
+
+
 def instances_long(inst: DataFrame, pattern: Pattern) -> DataFrame:
     """(iid, v) membership rows."""
     return inst.select("iid", F.explode(F.array(*member_cols(pattern))).alias("v"))

@@ -8,7 +8,7 @@ import pytest
 
 from repro.cores.coreapp import kmax_core_coreapp
 from repro.cores.emcore import kmax_core_emcore
-from repro.densest.common import exact_density
+from repro.densest.common import exact_density, gather
 from repro.densest.core_exact import core_exact
 from repro.densest.coreapp_dsd import core_app
 from repro.densest.exact import exact_densest
@@ -110,3 +110,16 @@ def test_degenerate_input(spark, degenerate_graphs, graph, pat, algo):
             assert r.density == float(opt)
         else:
             assert opt / pat.nv <= r.density <= opt
+
+
+@pytest.mark.parametrize("pat", [triangle(), star(2)], ids=["triangle", "2-star"])
+def test_gather_lists_nothing_on_an_empty_graph(spark, degenerate_graphs, monkeypatch, pat):
+    """An empty edge array has no instance of Psi: ``gather`` answers from
+    it and starts no Spark listing."""
+    def no_listing(*args, **kwargs):
+        raise AssertionError("pattern_instances called on an empty graph")
+
+    monkeypatch.setattr("repro.densest.common.pattern_instances", no_listing)
+    allv, members = gather(spark, degenerate_graphs["empty"], pat)
+    assert allv == []
+    assert members.shape == (0, pat.nv) and members.dtype == np.int64

@@ -18,7 +18,7 @@ from repro.densest.nucleus import nucleus_app
 from repro.densest.peel import peel_app
 from repro.graph import generators as gen
 from repro.graph.ops import edges_from_pandas
-from repro.patterns import clique, diamond, edge, star, triangle
+from repro.patterns import clique, diamond, edge, generic, star, triangle, two_triangle
 
 PATTERNS = [edge(), triangle(), star(2), diamond()]
 
@@ -53,8 +53,16 @@ def test_kmax_core_ratio_bound(spark, seed, pat):
     assert inc >= opt / pat.nv - 1e-9
 
 
-@pytest.mark.parametrize("pat", [edge(), triangle(), star(2)], ids=["edge", "tri", "2star"])
+AGREE_PATTERNS = [edge(), triangle(), star(2), diamond(), two_triangle(),
+                  generic("paw", 4, [(0, 1), (1, 2), (0, 2), (2, 3)])]
+
+
+@pytest.mark.parametrize(
+    "pat", AGREE_PATTERNS, ids=["edge", "tri", "2star", "diamond", "2-triangle", "paw"])
 def test_incapp_coreapp_nucleus_agree(spark, pat):
+    """The three core-based approximations return IncApp's (k_max, Psi)-core,
+    for cliques and for patterns listed by the specialised matchers (2-star,
+    diamond, 2-triangle) and by the generic one (paw)."""
     pdf = gen.compose(
         gen.clique_pandas(range(6)),
         gen.chung_lu_pandas(60, 150, alpha=2.4, seed=3, offset=10),
@@ -204,8 +212,8 @@ def test_emcore_multi_round(spark):
                          ids=["triangle", "2-star", "diamond"])
 def test_coreapp_on_empty_graph(spark, pat):
     """No edges: CoreApp returns no vertex and density 0 for every
-    pattern, including those ranked and enumerated on Spark (2-star,
-    diamond), whose first round selects an empty W."""
+    pattern, including those listed on Spark and ranked by pattern degree
+    (2-star, diamond), whose first round selects an empty W."""
     g = edges_from_pandas(spark, pd.DataFrame({"src": [], "dst": []}))
     r = core_app(spark, g, pat)
     assert (r.kmax, r.vertices, r.density) == (0, [], 0.0)

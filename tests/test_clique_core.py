@@ -1,4 +1,4 @@
-"""(k,Psi)-cores: Alg. 3 peeling, distributed h-operator, Theorem 1 bounds."""
+"""(k,Psi)-cores: Alg. 3 peeling, the local h-operator, Theorem 1 bounds."""
 
 from fractions import Fraction
 
@@ -7,24 +7,20 @@ import pandas as pd
 import pytest
 
 from repro.cores.clique_core import (
-    clique_core_numbers_hindex,
-    collect_instances,
+    hindex_core_numbers,
     instances_inside,
     peel_decompose,
 )
-from repro.densest.common import exact_density
+from repro.densest.common import exact_density, gather
 from repro.graph import generators as gen
 from repro.graph.ops import edges_from_pandas
 from repro.patterns import clique, diamond, star, triangle, two_triangle
-from repro.patterns.instances import pattern_instances
 
 
 def _gather(spark, pdf, pat):
-    g = edges_from_pandas(spark, pdf)
-    inst = pattern_instances(spark, g, pat)
-    members = collect_instances(inst, pat)
-    allv = sorted(set(pdf["src"]) | set(pdf["dst"]))
-    return g, inst, members, allv
+    """(member matrix, every vertex id) of ``pat`` in the graph ``pdf``."""
+    allv, members = gather(spark, edges_from_pandas(spark, pdf), pat)
+    return members, allv
 
 
 def test_k4_triangle_core():
@@ -54,29 +50,10 @@ def test_peel_tracks_rho_prime():
 )
 def test_hindex_matches_peel(spark, seed, pat):
     pdf = gen.erdos_renyi_pandas(20, 0.35, seed=seed)
-    g, inst, members, allv = _gather(spark, pdf, pat)
-    got = {
-        r["v"]: r["core"]
-        for r in clique_core_numbers_hindex(spark, g, pat, inst=inst).collect()
-    }
+    members, allv = _gather(spark, pdf, pat)
+    got = hindex_core_numbers(members, allv)
     pr = peel_decompose(members, allv)
     assert got == pr.core
-
-
-def test_hindex_needs_no_hash(spark, monkeypatch):
-    """Instance identity is the member tuple, not a 64-bit hash: with
-    every xxhash64 colliding, the core numbers still equal the peel's."""
-    from pyspark.sql import functions as F
-
-    monkeypatch.setattr(F, "xxhash64", lambda *cols: F.lit(0).cast("long"))
-    pdf = gen.erdos_renyi_pandas(20, 0.35, seed=0)
-    g, inst, members, allv = _gather(spark, pdf, triangle())
-    assert len(members) > 1
-    got = {
-        r["v"]: r["core"]
-        for r in clique_core_numbers_hindex(spark, g, triangle(), inst=inst).collect()
-    }
-    assert got == peel_decompose(members, allv).core
 
 
 def test_nested_cores():
@@ -95,7 +72,7 @@ def test_theorem1_bounds(spark):
     """k/|V_Psi| <= rho(R_k, Psi) <= kmax for every k (Theorem 1)."""
     pdf = gen.erdos_renyi_pandas(20, 0.4, seed=11)
     pat = triangle()
-    g, inst, members, allv = _gather(spark, pdf, pat)
+    members, allv = _gather(spark, pdf, pat)
     pr = peel_decompose(members, allv)
     for k in range(1, pr.kmax + 1):
         rk = {v for v, c in pr.core.items() if c >= k}
@@ -108,11 +85,8 @@ def test_core_zero_for_instanceless_vertices(spark):
     # triangle + dangling path: path vertices have triangle-core 0
     pdf = pd.DataFrame({"src": [0, 1, 0, 2, 3], "dst": [1, 2, 2, 3, 4]})
     pat = triangle()
-    g, inst, members, allv = _gather(spark, pdf, pat)
-    got = {
-        r["v"]: r["core"]
-        for r in clique_core_numbers_hindex(spark, g, pat, inst=inst).collect()
-    }
+    members, allv = _gather(spark, pdf, pat)
+    got = hindex_core_numbers(members, allv)
     assert got == {0: 1, 1: 1, 2: 1, 3: 0, 4: 0}
 
 

@@ -13,7 +13,6 @@ from repro.graph.ops import (
     induced_subgraph,
     normalize_edges,
     symmetrize,
-    vertices,
 )
 from repro.oracle import assert_equivalent
 
@@ -50,12 +49,6 @@ def test_normalize_drops_self_loops(spark):
     assert normalize_edges(raw).count() == 1
 
 
-def test_vertices(tri_path):
-    g, _ = tri_path
-    vs = sorted(r["v"] for r in vertices(g).collect())
-    assert vs == [1, 2, 3, 4, 5, 10, 11]
-
-
 def test_degrees_values(tri_path):
     g, _ = tri_path
     d = {r["v"]: r["deg"] for r in degrees(g).collect()}
@@ -87,7 +80,6 @@ def test_induced_subgraph(tri_path, spark):
 
 def test_counts(tri_path):
     g, _ = tri_path
-    assert vertices(g).count() == 7
     assert g.count() == 6
 
 

@@ -1,8 +1,8 @@
 """Classical k-core: the Psi = edge (k,Psi)-core code vs exact peeling.
 
 The driver peel is ``peel_decompose`` with the edge array as the member
-matrix. The Spark h-index loop is checked against networkx, so that its
-oracle does not depend on the peel."""
+matrix. The h-index fixpoint, over the same edge array, is checked against
+networkx, so that its oracle does not depend on the peel."""
 from math import comb
 
 import networkx as nx
@@ -10,19 +10,16 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.cores.clique_core import clique_core_numbers_hindex, peel_decompose
+from repro.cores.clique_core import hindex_core_numbers, peel_decompose
 from repro.cores.coreapp import gamma_upper_bounds
 from repro.graph import generators as gen
-from repro.graph.ops import degrees, edges_from_pandas
-from repro.patterns import edge
+from repro.graph.ops import degrees, edge_array, edges_from_pandas
 
 
-def hindex_core_numbers(spark, g) -> dict:
-    """Core number per vertex from the distributed h-index fixpoint."""
-    return {
-        r["v"]: r["core"]
-        for r in clique_core_numbers_hindex(spark, g, edge()).collect()
-    }
+def hindex_cores(g) -> dict:
+    """Core number per vertex from the h-index fixpoint over the edge array."""
+    arr = edge_array(g)
+    return hindex_core_numbers(arr, np.unique(arr))
 
 
 def edge_core_numbers(pdf: pd.DataFrame) -> dict:
@@ -70,18 +67,18 @@ def test_distributed_matches_peel(spark, seed):
     if len(pdf) == 0:
         pytest.skip("empty draw")
     g = edges_from_pandas(spark, pdf)
-    assert hindex_core_numbers(spark, g) == nx_core_numbers(pdf)
+    assert hindex_cores(g) == nx_core_numbers(pdf)
 
 
 def test_distributed_on_powerlaw(spark):
     pdf = gen.chung_lu_pandas(200, 600, alpha=2.3, seed=9)
     g = edges_from_pandas(spark, pdf)
-    assert hindex_core_numbers(spark, g) == nx_core_numbers(pdf)
+    assert hindex_cores(g) == nx_core_numbers(pdf)
 
 
 def test_kn_core_numbers(spark):
     g = edges_from_pandas(spark, gen.clique_pandas(range(8)))
-    assert hindex_core_numbers(spark, g) == {v: 7 for v in range(8)}
+    assert hindex_cores(g) == {v: 7 for v in range(8)}
 
 
 def test_kmax_core():
@@ -121,9 +118,8 @@ def test_gamma_upper_bounds_h3_dominates_clique_core(spark):
     """gamma(v) = C(core(v), h-1) bounds the clique-CORE number — the
     invariant CoreApp's stopping criterion needs (it does NOT bound the
     clique-degree, despite the paper's prose; see its docstring in coreapp.py)."""
-    from repro.cores.clique_core import collect_instances, peel_decompose
     from repro.patterns import triangle
-    from repro.patterns.instances import pattern_instances
+    from repro.patterns.instances import collect_instances, pattern_instances
 
     pdf = gen.erdos_renyi_pandas(30, 0.25, seed=19)
     g = edges_from_pandas(spark, pdf)
