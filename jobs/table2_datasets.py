@@ -13,10 +13,10 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.cores.clique_core import core_decompose
+from repro.densest.common import gather
 from repro.graph import datasets as ds
 from repro.graph.ops import components
 from repro.patterns import triangle
-from repro.patterns.instances import collect_instances, pattern_instances
 
 
 def run(spark: SparkSession, names=None, triangle_stats: bool = True) -> pd.DataFrame:
@@ -41,9 +41,7 @@ def run(spark: SparkSession, names=None, triangle_stats: bool = True) -> pd.Data
         }
         small = name in ds.CASE_STUDY + ds.SMALL
         if triangle_stats and small:
-            g = ds.dataset(spark, name)
-            inst = pattern_instances(spark, g, triangle())
-            members = collect_instances(inst, triangle())
+            _, members = gather(spark, ds.dataset(spark, name), triangle(), edge_arr=edge_arr)
             pr = core_decompose(members, allv)
             row["kmax_triangle"] = pr.kmax
             row["tri_core_size"] = len(pr.kmax_core)

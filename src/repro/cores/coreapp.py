@@ -15,8 +15,8 @@ The edge list is collected once and everything after it is array work
 on the driver. For clique patterns ``gamma_upper_bounds`` (defined here,
 its only caller) ranks the vertices off the edge array, an ``np.isin``
 mask selects G[W]'s edges and ``clique_members`` lists its h-cliques
-(for h=2 the edges themselves). Other patterns are listed once on Spark
-and collected; gamma is each vertex's member count, and since G[W] is
+(for h=2 the edges themselves). Other patterns are listed once by
+``gather``; gamma is each vertex's member count, and since G[W] is
 induced, its instances are the rows that lie inside W. Every peel, the
 classical one behind gamma included, is the level-synchronous
 ``core_decompose``.
@@ -26,12 +26,14 @@ from __future__ import annotations
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.cliques.enumerate import clique_members
 # the level-synchronous peel; the benchmark tracer wraps this import name
 from repro.cores.clique_core import core_decompose as peel_decompose, instances_inside
+from repro.densest.common import gather
 from repro.graph.ops import edge_array
 from repro.patterns.base import Pattern
-from repro.patterns.instances import collect_instances, pattern_instances
+from repro.patterns.instances import clique_members
+# unused here, but the benchmark tracer wraps these import sites by name
+from repro.patterns.instances import collect_instances, pattern_instances  # noqa: F401
 from repro.phases import PhaseClock
 
 
@@ -47,8 +49,7 @@ def kmax_core_coreapp(
     with clock.phase("enumerate"):
         edge_arr = edge_array(edges)
         if not on_driver:
-            inst = pattern_instances(spark, edges, pattern, edge_arr=edge_arr)
-            all_members = collect_instances(inst, pattern)
+            _, all_members = gather(spark, edges, pattern, edge_arr=edge_arr)
     with clock.phase("decompose"):
         if on_driver:
             vs, gamma = gamma_upper_bounds(edge_arr, pattern.h)

@@ -40,18 +40,19 @@ def gather(
 
     The vertex ids are sorted ascending, read off the edge array (pass
     ``edge_arr`` when the caller already collected it). The edge array is
-    collected first, so the clique matcher orients it without a second
-    collect; the instances are enumerated on Spark and collected once. An
-    empty edge array has no instance, so nothing runs on Spark.
+    collected first, so the clique lister orients it without a second
+    collect; the instances are enumerated on Spark and collected once.
+    For Psi = edge the edge array is the member matrix, and an empty one
+    has no instance, so neither runs anything on Spark.
     """
     if edge_arr is None:
         edge_arr = edge_array(edges)
-    if not len(edge_arr):
-        return [], np.empty((0, pattern.nv), np.int64)
-    inst = pattern_instances(spark, edges, pattern, edge_arr=edge_arr)
-    members = collect_instances(inst, pattern)
     allv = np.unique(edge_arr).tolist()
-    return allv, members
+    if pattern.kind == "clique" and pattern.h == 2:
+        return allv, edge_arr
+    if not len(edge_arr):
+        return allv, np.empty((0, pattern.nv), np.int64)
+    return allv, collect_instances(pattern_instances(spark, edges, pattern, edge_arr=edge_arr))
 
 
 def exact_density(members: np.ndarray, vertex_set) -> Fraction:

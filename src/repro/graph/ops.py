@@ -45,13 +45,6 @@ def symmetrize(edges: DataFrame) -> DataFrame:
     return fwd.unionByName(rev)
 
 
-def degrees(edges: DataFrame) -> DataFrame:
-    """Vertex degrees — columns (v, deg)."""
-    return symmetrize(edges).groupBy(F.col("u").alias("v")).agg(
-        F.count("*").alias("deg")
-    )
-
-
 def induced_subgraph(edges: DataFrame, verts: DataFrame) -> DataFrame:
     """Edges with BOTH endpoints in ``verts`` (a DataFrame with column v)."""
     v1 = verts.select(F.col("v").alias("src"))

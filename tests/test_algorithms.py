@@ -123,3 +123,17 @@ def test_gather_lists_nothing_on_an_empty_graph(spark, degenerate_graphs, monkey
     allv, members = gather(spark, degenerate_graphs["empty"], pat)
     assert allv == []
     assert members.shape == (0, pat.nv) and members.dtype == np.int64
+
+
+@pytest.mark.parametrize("pat", [star(2), diamond()], ids=["2-star", "diamond"])
+def test_coreapp_lists_nothing_on_an_empty_graph(spark, degenerate_graphs, monkeypatch, pat):
+    """CoreApp takes a non-clique Psi's member matrix from ``gather``, so
+    on an empty graph it starts no Spark listing either."""
+    def no_listing(*args, **kwargs):
+        raise AssertionError("pattern_instances called on an empty graph")
+
+    for site in ("repro.densest.common", "repro.cores.coreapp"):
+        monkeypatch.setattr(f"{site}.pattern_instances", no_listing)
+    r = core_app(spark, degenerate_graphs["empty"], pat)
+    assert (r.vertices, r.density) == ([], 0.0)
+

@@ -1,4 +1,4 @@
-"""Distributed h-clique enumeration vs closed forms, brute force, DuckDB."""
+"""h-clique enumeration vs closed forms, brute force, DuckDB."""
 from itertools import combinations
 from math import comb
 
@@ -7,18 +7,19 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.cliques.enumerate import clique_instances, clique_members, orient
 from repro.densest.common import gather
 from repro.graph import generators as gen
 from repro.graph.ops import edge_array, edges_from_pandas
 from repro.oracle import assert_equivalent
 from repro.patterns import clique
 from repro.patterns.instances import (
-    count_pattern,
-    instances_long,
-    pattern_degrees,
+    clique_instances,
+    clique_members,
+    collect_instances,
+    orient,
     pattern_instances,
 )
+from tests.test_patterns import member_degrees
 
 # The Spark plan keeps each case's original test id; the driver lister
 # runs the same case as ``driver-<h>``.
@@ -37,13 +38,11 @@ def list_cliques(spark, g, h: int, lister: str) -> np.ndarray:
     """(count, h) member matrix of g's h-cliques from either lister."""
     if lister == "driver":
         return clique_members(edge_array(g), h)
-    return clique_instances(spark, g, h).toPandas().to_numpy(dtype=np.int64).reshape(-1, h)
+    return collect_instances(pattern_instances(spark, g, clique(h)))
 
 
 def count_cliques(spark, g, h: int, lister: str) -> int:
-    if lister == "driver":
-        return len(list_cliques(spark, g, h, lister))
-    return count_pattern(spark, g, clique(h))
+    return list_cliques(spark, g, h, lister).shape[0]
 
 
 def brute_cliques(pdf: pd.DataFrame, h: int):
@@ -144,25 +143,40 @@ def test_clique_instances_same_rows_with_edge_array(spark, h):
     assert own == held and len(own) > 0
 
 
-def test_gather_clique_spark_jobs(spark, rand_graph):
-    """A 5-clique gather is one edge collect, the DAG checkpoint and the
-    levels' jobs: at most 5 Spark jobs (8 with a Spark SQL orientation).
-    Counted as the benchmark runs it: on a checkpointed graph, and with
-    its broadcast threshold, under which the levels are broadcast joins
-    (shuffle joins add a job per stage)."""
-    g = rand_graph[0].localCheckpoint(eager=True)
+def gather_jobs(spark, g, pattern) -> tuple:
+    """``gather(spark, g, pattern)``'s member matrix and its Spark job
+    count, counted as the benchmark runs it: on a checkpointed graph, and
+    with its broadcast threshold, under which the levels are broadcast
+    joins (shuffle joins add a job per stage)."""
+    g = g.localCheckpoint(eager=True)
     sc = spark.sparkContext
-    group = "test-gather-clique-jobs"
+    group = f"test-gather-jobs-{pattern.name}"
     threshold = spark.conf.get("spark.sql.autoBroadcastJoinThreshold")
     spark.conf.set("spark.sql.autoBroadcastJoinThreshold", str(10 * 1024 * 1024))
-    sc.setJobGroup(group, "gather 5-clique")
+    sc.setJobGroup(group, f"gather {pattern.name}")
     try:
-        _, members = gather(spark, g, clique(5))
+        _, members = gather(spark, g, pattern)
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
         spark.conf.set("spark.sql.autoBroadcastJoinThreshold", threshold)
+    return members, len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+def test_gather_clique_spark_jobs(spark, rand_graph):
+    """A 5-clique gather is one edge collect, the DAG checkpoint and the
+    levels' jobs: at most 5 Spark jobs (8 with a Spark SQL orientation)."""
+    members, jobs = gather_jobs(spark, rand_graph[0], clique(5))
     assert members.shape[1] == 5
-    assert 0 < len(sc.statusTracker().getJobIdsForGroup(group)) <= 5
+    assert 0 < jobs <= 5
+
+
+def test_gather_edge_spark_jobs(spark, rand_graph):
+    """For Psi = edge the collected edge array is the member matrix: the
+    edge collect is the one Spark job, with no listing after it."""
+    g, pdf = rand_graph
+    members, jobs = gather_jobs(spark, g, clique(2))
+    assert jobs == 1
+    assert sorted(map(tuple, members.tolist())) == sorted(zip(pdf["src"], pdf["dst"]))
 
 
 @pytest.mark.parametrize("h", [2, 3, 5])
@@ -192,7 +206,7 @@ def test_driver_cliques_with_ids_beyond_int32(spark, rand_graph, h):
 @pytest.mark.parametrize("h", [3, 4])
 def test_clique_degrees_vs_bruteforce(spark, rand_graph, h):
     g, pdf = rand_graph
-    got = {r["v"]: r["cdeg"] for r in pattern_degrees(spark, g, clique(h)).collect()}
+    got = member_degrees(list_cliques(spark, g, h, "spark"))
     want = {}
     for c in brute_cliques(pdf, h):
         for v in c:
@@ -212,12 +226,14 @@ def test_triangle_count_oracle(spark, rand_graph):
     assert_equivalent(got, sql, e=pdf)
 
 
-def test_instances_long_shape(spark, rand_graph):
-    g, _ = rand_graph
-    inst = pattern_instances(spark, g, clique(3))
-    long = instances_long(inst, clique(3))
-    assert long.count() == 3 * inst.count()
-    assert long.select("iid").distinct().count() == inst.count()
+def test_clique_member_matrix_shape(spark, rand_graph):
+    """One int64 row of three members per triangle, no two rows on the
+    same vertex set."""
+    g, pdf = rand_graph
+    members = list_cliques(spark, g, 3, "spark")
+    assert members.shape == (len(brute_cliques(pdf, 3)), 3)
+    assert members.dtype == np.int64
+    assert len({frozenset(r) for r in members.tolist()}) == len(members)
 
 
 def test_embedded_clique_dominates(spark):
@@ -225,4 +241,4 @@ def test_embedded_clique_dominates(spark):
         gen.clique_pandas(range(10)), gen.erdos_renyi_pandas(50, 0.05, seed=1, offset=20)
     )
     g = edges_from_pandas(spark, pdf)
-    assert count_pattern(spark, g, clique(5)) >= comb(10, 5)
+    assert count_cliques(spark, g, 5, "spark") >= comb(10, 5)

@@ -4,17 +4,17 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.cliques.enumerate import clique_instances
 from repro.graph import generators as gen
 from repro.graph.ops import (
     components,
-    degrees,
+    edge_array,
     edges_from_pandas,
     induced_subgraph,
     normalize_edges,
     symmetrize,
 )
 from repro.oracle import assert_equivalent
+from repro.patterns.instances import clique_instances, collect_instances
 
 
 @pytest.fixture(scope="module")
@@ -40,8 +40,8 @@ def test_edges_from_empty_frame(spark):
     g = edges_from_pandas(spark, pd.DataFrame({"src": [], "dst": []}))
     assert g.count() == 0
     assert dict(g.dtypes) == {"src": "bigint", "dst": "bigint"}
-    tri = clique_instances(spark, g, 3).toPandas()
-    assert tri.shape == (0, 3)
+    tri = collect_instances(clique_instances(spark, g, 3))
+    assert tri.shape == (0, 3) and tri.dtype == np.int64
 
 
 def test_normalize_drops_self_loops(spark):
@@ -51,13 +51,14 @@ def test_normalize_drops_self_loops(spark):
 
 def test_degrees_values(tri_path):
     g, _ = tri_path
-    d = {r["v"]: r["deg"] for r in degrees(g).collect()}
-    assert d == {1: 2, 2: 2, 3: 3, 4: 2, 5: 1, 10: 1, 11: 1}
+    vs, deg = np.unique(edge_array(g), return_counts=True)
+    assert dict(zip(vs.tolist(), deg.tolist())) == {1: 2, 2: 2, 3: 3, 4: 2, 5: 1, 10: 1, 11: 1}
 
 
 def test_degrees_oracle(spark, tri_path):
     g, pdf = tri_path
-    got = degrees(g)
+    vs, deg = np.unique(edge_array(g), return_counts=True)
+    got = spark.createDataFrame(pd.DataFrame({"v": vs, "deg": deg}))
     sql = """
         SELECT v, COUNT(*) AS deg FROM (
           SELECT src AS v FROM e UNION ALL SELECT dst AS v FROM e

@@ -13,7 +13,7 @@ import pytest
 from repro.cores.clique_core import hindex_core_numbers, peel_decompose
 from repro.cores.coreapp import gamma_upper_bounds
 from repro.graph import generators as gen
-from repro.graph.ops import degrees, edge_array, edges_from_pandas
+from repro.graph.ops import edge_array, edges_from_pandas
 
 
 def hindex_cores(g) -> dict:
@@ -105,12 +105,11 @@ def test_nested_property(spark):
         prev = cur
 
 
-def test_gamma_upper_bounds_h2(spark):
+def test_gamma_upper_bounds_h2():
     pdf = gen.erdos_renyi_pandas(30, 0.2, seed=17)
-    g = edges_from_pandas(spark, pdf)
     vs, gamma = gamma_upper_bounds(pdf.to_numpy(np.int64), 2)
     got = dict(zip(vs.tolist(), gamma.tolist()))
-    want = {r["v"]: float(r["deg"]) for r in degrees(g).collect()}
+    want = {v: float(d) for v, d in nx.from_pandas_edgelist(pdf, "src", "dst").degree()}
     assert got == want
 
 
@@ -125,8 +124,7 @@ def test_gamma_upper_bounds_h3_dominates_clique_core(spark):
     g = edges_from_pandas(spark, pdf)
     vs, g3 = gamma_upper_bounds(pdf.to_numpy(np.int64), 3)
     gamma = dict(zip(vs.tolist(), g3.tolist()))
-    inst = pattern_instances(spark, g, triangle())
-    members = collect_instances(inst, triangle())
+    members = collect_instances(pattern_instances(spark, g, triangle()))
     pr = peel_decompose(members, sorted(set(pdf["src"]) | set(pdf["dst"])))
     for v, c in pr.core.items():
         assert gamma[v] >= c - 1e-9, (v, gamma[v], c)

@@ -1,12 +1,14 @@
-"""DuckDB-oracle checks of Spark dataflow results (beyond test_cliques)."""
+"""DuckDB-oracle checks of Spark dataflow and collected results (beyond
+test_cliques)."""
+import numpy as np
+import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.graph import generators as gen
-from repro.graph.ops import degrees, edges_from_pandas, symmetrize
+from repro.graph.ops import edge_array, edges_from_pandas, symmetrize
 from repro.oracle import assert_equivalent
 from repro.patterns import star, two_triangle
-from repro.patterns.instances import pattern_degrees, pattern_instances
+from tests.test_patterns import count_instances, list_instances, member_degrees
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +20,7 @@ def rand(spark):
 def test_two_star_count_oracle(spark, rand):
     """#2-stars = sum over v of C(deg(v), 2), checked in SQL."""
     g, pdf = rand
-    got = pattern_instances(spark, g, star(2)).agg(F.count("*").alias("n_star"))
+    got = spark.createDataFrame(pd.DataFrame({"n_star": [count_instances(spark, g, star(2))]}))
     sql = """
         SELECT CAST(SUM(deg * (deg - 1) / 2) AS BIGINT) AS n_star FROM (
           SELECT COUNT(*) AS deg FROM (
@@ -32,7 +34,8 @@ def test_two_star_count_oracle(spark, rand):
 def test_two_star_degree_oracle(spark, rand):
     """2-star degree of v = C(deg(v),2) + sum_{u ~ v} (deg(u) - 1)."""
     g, pdf = rand
-    got = pattern_degrees(spark, g, star(2)).select("v", F.col("cdeg").cast("long").alias("cdeg"))
+    deg = member_degrees(list_instances(spark, g, star(2)))
+    got = spark.createDataFrame(pd.DataFrame({"v": list(deg), "cdeg": list(deg.values())}))
     sql = """
         WITH sym AS (
           SELECT src AS u, dst AS v FROM e
@@ -61,8 +64,8 @@ def test_symmetrize_oracle(spark, rand):
 def test_k4_minus_e_count_oracle(spark, rand):
     """2-triangle count via SQL: per edge, C(#common neighbours, 2)."""
     g, pdf = rand
-    got = pattern_instances(spark, g, two_triangle()).agg(
-        F.count("*").alias("n_tt")
+    got = spark.createDataFrame(
+        pd.DataFrame({"n_tt": [count_instances(spark, g, two_triangle())]})
     )
     sql = """
         WITH sym AS (
@@ -82,7 +85,8 @@ def test_k4_minus_e_count_oracle(spark, rand):
 def test_oracle_catches_wrong_result(spark, rand):
     """An off-by-one degree table must not pass as equivalent."""
     g, pdf = rand
-    wrong = degrees(g).select("v", (F.col("deg") + 1).alias("deg"))
+    vs, deg = np.unique(edge_array(g), return_counts=True)
+    wrong = spark.createDataFrame(pd.DataFrame({"v": vs, "deg": deg + 1}))
     sql = """
         SELECT v, COUNT(*) AS deg FROM (
           SELECT src AS v FROM e UNION ALL SELECT dst AS v FROM e

@@ -2,6 +2,7 @@
 from itertools import combinations, permutations
 from math import comb
 
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -18,12 +19,22 @@ from repro.patterns import (
     triangle,
     two_triangle,
 )
-from repro.patterns.instances import (
-    count_pattern,
-    instances_long,
-    pattern_degrees,
-    pattern_instances,
-)
+from repro.patterns.instances import collect_instances, pattern_instances
+
+
+def list_instances(spark, g, pattern: Pattern) -> np.ndarray:
+    """The collected member matrix of ``pattern`` in g."""
+    return collect_instances(pattern_instances(spark, g, pattern))
+
+
+def count_instances(spark, g, pattern: Pattern) -> int:
+    return list_instances(spark, g, pattern).shape[0]
+
+
+def member_degrees(members: np.ndarray) -> dict:
+    """deg(v, Psi): the number of member-matrix rows that hold v."""
+    vs, inv = np.unique(members, return_inverse=True)
+    return dict(zip(vs.tolist(), np.bincount(inv.ravel()).tolist()))
 
 
 def brute_pattern_instances(pdf: pd.DataFrame, pattern: Pattern):
@@ -66,51 +77,51 @@ def rand_graph(spark):
 
 def test_star2_on_kn(spark, k6):
     g, _ = k6
-    assert count_pattern(spark, g, star(2)) == 6 * comb(5, 2)
+    assert count_instances(spark, g, star(2)) == 6 * comb(5, 2)
 
 
 def test_star3_on_kn(spark, k6):
     g, _ = k6
-    assert count_pattern(spark, g, star(3)) == 6 * comb(5, 3)
+    assert count_instances(spark, g, star(3)) == 6 * comb(5, 3)
 
 
 def test_c3_star_same_as_star3(spark, k6):
     g, _ = k6
-    assert count_pattern(spark, g, c3_star()) == count_pattern(spark, g, star(3))
+    assert count_instances(spark, g, c3_star()) == count_instances(spark, g, star(3))
 
 
 def test_diamond_on_kn(spark, k6):
     # C4 count in K_n = 3 * C(n, 4)
     g, _ = k6
-    assert count_pattern(spark, g, diamond()) == 3 * comb(6, 4)
+    assert count_instances(spark, g, diamond()) == 3 * comb(6, 4)
 
 
 def test_two_triangle_on_kn(spark, k6):
     # K4-e count in K_n = 6 * C(n, 4) (choose 4 vertices, drop one of 6 edges)
     g, _ = k6
-    assert count_pattern(spark, g, two_triangle()) == 6 * comb(6, 4)
+    assert count_instances(spark, g, two_triangle()) == 6 * comb(6, 4)
 
 
 def test_diamond_on_c4_and_c5(spark):
     c4 = edges_from_pandas(
         spark, pd.DataFrame({"src": [0, 1, 2, 0], "dst": [1, 2, 3, 3]})
     )
-    assert count_pattern(spark, c4, diamond()) == 1
+    assert count_instances(spark, c4, diamond()) == 1
     c5 = edges_from_pandas(
         spark, pd.DataFrame({"src": [0, 1, 2, 3, 0], "dst": [1, 2, 3, 4, 4]})
     )
-    assert count_pattern(spark, c5, diamond()) == 0
+    assert count_instances(spark, c5, diamond()) == 0
 
 
 def test_two_triangle_on_k4(spark):
     g = edges_from_pandas(spark, gen.clique_pandas(range(4)))
-    assert count_pattern(spark, g, two_triangle()) == 6
+    assert count_instances(spark, g, two_triangle()) == 6
 
 
 def test_star_on_actual_star(spark):
     g = edges_from_pandas(spark, gen.biclique_pandas([0], range(1, 8)))
-    assert count_pattern(spark, g, star(3)) == comb(7, 3)
-    assert count_pattern(spark, g, triangle()) == 0
+    assert count_instances(spark, g, star(3)) == comb(7, 3)
+    assert count_instances(spark, g, triangle()) == 0
 
 
 # --- brute-force cross-checks ----------------------------------------------
@@ -129,7 +140,7 @@ PATTERNS = [
 @pytest.mark.parametrize("pat", PATTERNS, ids=[p.name for p in PATTERNS])
 def test_counts_vs_bruteforce(spark, rand_graph, pat):
     g, pdf = rand_graph
-    assert count_pattern(spark, g, pat) == len(brute_pattern_instances(pdf, pat))
+    assert count_instances(spark, g, pat) == len(brute_pattern_instances(pdf, pat))
 
 
 @pytest.mark.parametrize(
@@ -139,8 +150,7 @@ def test_counts_vs_bruteforce(spark, rand_graph, pat):
 )
 def test_degrees_vs_bruteforce(spark, rand_graph, pat):
     g, pdf = rand_graph
-    got = {r["v"]: r["cdeg"] for r in pattern_degrees(spark, g, pat).collect()}
-    assert got == brute_pattern_degrees(pdf, pat)
+    assert member_degrees(list_instances(spark, g, pat)) == brute_pattern_degrees(pdf, pat)
 
 
 GENERICS = [
@@ -166,7 +176,7 @@ GENERIC_CASES = [
 def test_generic_matcher_vs_bruteforce(spark, rand_graph, pat, offset):
     _, pdf = rand_graph
     g = edges_from_pandas(spark, pdf + offset)
-    assert count_pattern(spark, g, pat) == len(brute_pattern_instances(pdf, pat))
+    assert count_instances(spark, g, pat) == len(brute_pattern_instances(pdf, pat))
 
 
 def test_generic_matches_specialized(spark, rand_graph):
@@ -180,21 +190,46 @@ def test_generic_matches_specialized(spark, rand_graph):
         ),
     ]
     for gpat, spat in pairs:
-        assert count_pattern(spark, g, gpat) == count_pattern(spark, g, spat)
+        assert count_instances(spark, g, gpat) == count_instances(spark, g, spat)
 
 
-def test_instance_iids_unique(spark, rand_graph):
+def test_specialised_rows_unique(spark, rand_graph):
+    """The specialised listers build each instance once, in a canonical
+    member order, so no two collected rows are equal as ordered tuples."""
     g, _ = rand_graph
-    for pat in (triangle(), diamond(), star(2), two_triangle()):
-        inst = pattern_instances(spark, g, pat)
-        assert inst.select("iid").distinct().count() == inst.count()
+    for pat in (triangle(), star(2), star(3), diamond(), two_triangle()):
+        members = list_instances(spark, g, pat)
+        assert len(members) > 0
+        assert len(set(map(tuple, members.tolist()))) == len(members), pat.name
 
 
-def test_instances_long_cardinality(spark, rand_graph):
-    g, _ = rand_graph
-    pat = diamond()
-    inst = pattern_instances(spark, g, pat)
-    assert instances_long(inst, pat).count() == 4 * inst.count()
+def test_generic_rows_may_share_a_vertex_set(spark):
+    """The generic matcher dedupes on the edge set, not on its sorted
+    member row: K4's three C4s are three instances with one vertex set."""
+    pdf = gen.clique_pandas(range(4))
+    c4 = generic("c4", 4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    members = list_instances(spark, edges_from_pandas(spark, pdf), c4)
+    assert len(members) == len(brute_pattern_instances(pdf, c4)) == 3
+    assert {tuple(r) for r in members.tolist()} == {(0, 1, 2, 3)}
+
+
+FORMAT_PATTERNS = [
+    edge(),
+    triangle(),
+    clique(5),
+    star(2),
+    c3_star(),
+    diamond(),
+    two_triangle(),
+    generic("paw", 4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
+]
+
+
+@pytest.mark.parametrize("pat", FORMAT_PATTERNS, ids=[p.name for p in FORMAT_PATTERNS])
+def test_instance_frame_is_member_columns(spark, k6, pat):
+    """An instance frame is exactly its member columns v1..vp."""
+    g, _ = k6
+    assert pattern_instances(spark, g, pat).columns == [f"v{i}" for i in range(1, pat.nv + 1)]
 
 
 def test_pattern_validation():
