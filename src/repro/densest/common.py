@@ -10,7 +10,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.cores.clique_core import instances_inside
 from repro.graph.ops import edge_array
 from repro.patterns.base import Pattern
-from repro.patterns.instances import collect_instances, pattern_instances
+from repro.patterns.instances import pattern_instances
 
 
 @dataclass
@@ -40,10 +40,9 @@ def gather(
 
     The vertex ids are sorted ascending, read off the edge array (pass
     ``edge_arr`` when the caller already collected it). The edge array is
-    collected first, so the clique lister orients it without a second
-    collect; the instances are enumerated on Spark and collected once.
-    For Psi = edge the edge array is the member matrix, and an empty one
-    has no instance, so neither runs anything on Spark.
+    collected first and handed to ``pattern_instances``, so no lister
+    collects it again. For Psi = edge the edge array is the member
+    matrix, and an empty one has no instance, so neither lists anything.
     """
     if edge_arr is None:
         edge_arr = edge_array(edges)
@@ -52,7 +51,7 @@ def gather(
         return allv, edge_arr
     if not len(edge_arr):
         return allv, np.empty((0, pattern.nv), np.int64)
-    return allv, collect_instances(pattern_instances(spark, edges, pattern, edge_arr=edge_arr))
+    return allv, pattern_instances(spark, edges, pattern, edge_arr=edge_arr)
 
 
 def exact_density(members: np.ndarray, vertex_set) -> Fraction:

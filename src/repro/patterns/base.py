@@ -3,8 +3,8 @@
 A pattern Psi is a small connected simple graph. ``Pattern`` carries
 the data every DSD algorithm needs: the vertex count |V_Psi| (flow
 capacities use it), a pattern edge list on labels 0..nv-1 (the generic
-matcher uses it), and a ``kind`` tag that routes to a specialized
-enumerator when one exists (cliques, stars, the C4 "diamond", and the
+matcher uses it), and a ``kind`` tag that routes to a specialised
+lister when one exists (cliques, stars, the C4 "diamond", and the
 K4-minus-an-edge "2-triangle" from the paper's Figure 7).
 
 An *instance* of Psi in G is a distinct edge-subgraph of G isomorphic
@@ -21,7 +21,8 @@ class Pattern:
     name: str
     nv: int
     pattern_edges: tuple  # tuple of (i, j) with i < j on labels 0..nv-1
-    kind: str = "generic"  # clique | star | diamond | two_triangle | generic
+    # specialised lister: clique | star | diamond | two_triangle; else generic
+    kind: str = "generic"
     h: int = 0  # clique size when kind == "clique"
 
     @property

@@ -1,8 +1,7 @@
 """Pattern-instance enumeration: every lister of Psi's instances.
 
-An instance frame has exactly the member columns ``v1..vp``, p = |V_Psi|,
-one row per instance; ``collect_instances`` reads it into the driver
-member matrix.
+``pattern_instances`` returns the (count, p) int64 member matrix of any
+Psi, p = |V_Psi|, one row per instance.
 
 h-cliques follow kClist (Danisch et al., WWW'18, the paper's clique
 enumerator [15]): ``orient`` turns every edge from the endpoint with the
@@ -16,13 +15,18 @@ out-neighbours of its last vertex, then tests the h-2 other memberships.
   the driver (collecting it unless the caller passes it), ships the DAG
   as one checkpointed DataFrame, and runs the levels as one SQL
   statement: a join per extension, a semi-join per membership test.
-* ``clique_members`` is the same listing over a driver edge array, with
-  membership as a ``searchsorted`` on sorted edge keys.
+* ``clique_members`` is the same listing over a driver edge array.
 
-Stars, diamond = C4 and 2-triangle = K4-e have Spark matchers that build
-each instance exactly once in a canonical member order. Any other Psi
-goes to the generic matcher: a join per pattern vertex, deduplicated on
-the sorted edge set (the DataFrame rendition of the subgraph-matching
+The driver listers work on one rank-space CSR of the edge array
+(``_csr``) with two steps: ``_extend`` grows every row by the neighbours
+of one of its vertices, and ``_is_edge`` tests an edge with a
+``searchsorted`` over the sorted edge keys. Besides cliques they list
+stars (pairs within a neighbour list), K4-e (pairs of common neighbours
+of an edge) and C4 (pairs of 2-paths with the same endpoints; Chiba &
+Nishizeki, SIAM J. Comput. 1985; ESCAPE, Pinar et al., WWW'17), each
+instance once, in a canonical member order. Any other Psi goes to the
+generic Spark matcher: a join per pattern vertex, deduplicated on the
+sorted edge set (the DataFrame rendition of the subgraph-matching
 substrate the paper takes from [38]).
 """
 from __future__ import annotations
@@ -97,117 +101,114 @@ def clique_instances(
     return spark.sql(_levels_sql(h), dag=dag)
 
 
+def _csr(arcs: np.ndarray) -> tuple:
+    """Rank-space CSR of an (m, 2) arc array — (vs, keys, start, arcs).
+
+    ``vs`` are the sorted distinct ids, and an arc (u, v) becomes the pair
+    of their indices, with sorted unique key ``u * n + v``: it fits in
+    int64 whatever the ids are. The returned arcs are these pairs in key
+    order, so row u's neighbours, ascending, are
+    ``arcs[start[u]:start[u + 1], 1]``.
+    """
+    vs, inv = np.unique(arcs, return_inverse=True)
+    n = len(vs)
+    ab = inv.reshape(-1, 2)
+    keys = np.unique(ab[:, 0] * n + ab[:, 1])
+    start = np.searchsorted(keys, np.arange(n + 1) * n)
+    return vs, keys, start, np.column_stack([keys // n, keys % n])
+
+
+def _symmetric(edge_arr: np.ndarray) -> tuple:
+    """``_csr`` of both directions of every edge."""
+    e = np.asarray(edge_arr, dtype=np.int64).reshape(-1, 2)
+    return _csr(np.concatenate([e, e[:, ::-1]]))
+
+
+def _extend(rows: np.ndarray, v: np.ndarray, start: np.ndarray, nbr: np.ndarray) -> tuple:
+    """Row i once per entry w of CSR row ``v[i]`` — (the rows, w).
+
+    Row order is kept, and each row's entries keep ``nbr``'s order.
+    """
+    cnt = start[v + 1] - start[v]
+    pos = np.repeat(start[v] - (np.cumsum(cnt) - cnt), cnt) + np.arange(cnt.sum())
+    return rows[np.repeat(np.arange(len(rows)), cnt)], nbr[pos]
+
+
+def _is_edge(keys: np.ndarray, n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask: is (a[i], b[i]) an arc of the CSR with sorted ``keys``."""
+    want = a * n + b
+    return keys[np.minimum(np.searchsorted(keys, want), len(keys) - 1)] == want
+
+
+def _pair_up(rows: np.ndarray) -> np.ndarray:
+    """Each row of the lexicographically sorted ``rows``, once per later row
+    that agrees with it on all but the last column, with that column appended."""
+    new = np.diff(rows[:, :-1], axis=0, prepend=-1).any(axis=1)  # group starts
+    grown, w = _extend(rows, np.cumsum(new) - 1, np.append(np.flatnonzero(new), len(rows)),
+                       rows[:, -1])
+    keep = w > grown[:, -1]
+    return np.column_stack([grown[keep], w[keep]])
+
+
 def clique_members(edge_arr: np.ndarray, h: int) -> np.ndarray:
     """All h-cliques of an (m, 2) canonical edge array — (count, h) int64.
 
     The driver rendition of ``clique_instances``: h=2 returns the edges
     themselves; for h >= 3 each row lists one clique in (degree, id)
-    rank order. Vertices are renumbered to 0..n-1 first, so edge keys
-    ``a * n + b`` fit in int64 whatever the vertex ids are.
+    rank order, over the CSR of the oriented DAG.
     """
     if h < 2:
         raise ValueError("h must be >= 2")
     edge_arr = np.asarray(edge_arr, dtype=np.int64).reshape(-1, 2)
     if h == 2:
         return edge_arr
-    if len(edge_arr) == 0:
-        return np.empty((0, h), dtype=np.int64)
-    vs, inv = np.unique(orient(edge_arr), return_inverse=True)
-    n = len(vs)
-    ab = inv.reshape(-1, 2)  # the DAG's arcs, as indices into vs
-    keys = np.sort(ab[:, 0] * n + ab[:, 1])
-    # out-neighbour lists in CSR form, read off the sorted keys
-    tail, out_nbr = keys // n, keys % n
-    start = np.searchsorted(tail, np.arange(n + 1))
-    cur = np.stack([tail, out_nbr], axis=1)
+    vs, keys, start, cur = _csr(orient(edge_arr))
+    nbr = cur[:, 1]
     for k in range(3, h + 1):
-        last = cur[:, -1]
-        cnt = start[last + 1] - start[last]
-        row = np.repeat(np.arange(len(cur)), cnt)
-        off = np.arange(len(row)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        nxt = out_nbr[np.repeat(start[last], cnt) + off]
-        cur = cur[row]
+        cur, nxt = _extend(cur, cur[:, -1], start, nbr)
         for i in range(k - 2):  # (v_i, v_k) must be an oriented edge
-            want = cur[:, i] * n + nxt
-            pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-            hit = keys[pos] == want
+            hit = _is_edge(keys, len(vs), cur[:, i], nxt)
             cur, nxt = cur[hit], nxt[hit]
-        cur = np.concatenate([cur, nxt[:, None]], axis=1)
+        cur = np.column_stack([cur, nxt])
     return vs[cur]
 
 
-def _star_inst(edges: DataFrame, x: int) -> DataFrame:
-    """x-star: center v1, tails v2 < ... < v_{x+1}. Unique by construction."""
-    adj = symmetrize(edges)
-    cur = adj.select(F.col("u").alias("c"), F.col("v").alias("t1"))
-    for i in range(2, x + 1):
-        nxt = adj.select(F.col("u").alias("c"), F.col("v").alias(f"t{i}"))
-        cur = cur.join(nxt, "c").where(F.col(f"t{i - 1}") < F.col(f"t{i}"))
-    return cur.select(
-        F.col("c").alias("v1"), *[F.col(f"t{i}").alias(f"v{i + 1}") for i in range(1, x + 1)]
-    )
+def star_members(edge_arr: np.ndarray, x: int) -> np.ndarray:
+    """All x-stars — (count, x+1) int64: centre, then tails ascending."""
+    vs, _, _, cur = _symmetric(edge_arr)
+    for _ in range(x - 1):
+        cur = _pair_up(cur)
+    return vs[cur]
 
 
-def _diamond_inst(edges: DataFrame) -> DataFrame:
-    """C4 cycles: pair two 2-paths with the same endpoints, then put the
-    cycle in canonical form (min vertex, its two cycle-neighbours sorted,
-    opposite vertex) and dedupe — each C4 arises once per diagonal."""
-    adj = symmetrize(edges)
-    paths = (
-        adj.select(F.col("v").alias("mid"), F.col("u").alias("x"))
-        .join(adj.select(F.col("u").alias("mid"), F.col("v").alias("y")), "mid")
-        .where(F.col("x") < F.col("y"))
-    )  # (x, mid, y) with x < y
-    pairs = (
-        paths.select("x", "y", F.col("mid").alias("m1"))
-        .join(paths.select("x", "y", F.col("mid").alias("m2")), ["x", "y"])
-        .where(F.col("m1") < F.col("m2"))
-        .where((F.col("m2") != F.col("x")) & (F.col("m1") != F.col("x")))
-        .where((F.col("m2") != F.col("y")) & (F.col("m1") != F.col("y")))
-    )
-    # canonical: vmin = min(x, m1); if vmin==x nbrs (m1, m2) opp y else nbrs (x, y) opp m2
-    canon = pairs.select(
-        F.when(F.col("x") < F.col("m1"), F.col("x")).otherwise(F.col("m1")).alias("v1"),
-        F.when(F.col("x") < F.col("m1"), F.col("m1")).otherwise(F.col("x")).alias("v2"),
-        F.when(F.col("x") < F.col("m1"), F.col("y")).otherwise(F.col("m2")).alias("v3"),
-        F.when(F.col("x") < F.col("m1"), F.col("m2")).otherwise(F.col("y")).alias("v4"),
-    )
-    # v1 = min vertex, (v2, v4) its cycle-neighbours, v3 opposite; sort nbrs
-    return canon.select(
-        "v1",
-        F.least("v2", "v4").alias("v2"),
-        "v3",
-        F.greatest("v2", "v4").alias("v4"),
-    ).distinct()
+def diamond_members(edge_arr: np.ndarray) -> np.ndarray:
+    """All C4s — (count, 4) int64: the smallest vertex, its lower cycle
+    neighbour, the opposite vertex, its higher cycle neighbour.
 
-
-def _two_triangle_inst(edges: DataFrame) -> DataFrame:
-    """K4 minus an edge: shared edge (v1 < v2), apex pair (v3 < v4).
-
-    The shared edge is the one between the two degree-3 vertices, so
-    the (shared edge, apex set) encoding is already canonical.
+    A C4 is one pair of 2-paths s-m-o with s < m and s < o, from its
+    smallest vertex s to the opposite vertex o, so it is built once.
     """
-    adj = symmetrize(edges)
-    base = edges.select(F.col("src").alias("e1"), F.col("dst").alias("e2"))
-    cn = (
-        base.join(adj.select(F.col("u").alias("e1"), F.col("v").alias("w")), "e1")
-        .join(
-            adj.select(F.col("u").alias("e2"), F.col("v").alias("w")),
-            ["e2", "w"],
-            "left_semi",
-        )
-    )  # w adjacent to both endpoints of (e1, e2)
-    pairs = (
-        cn.select("e1", "e2", F.col("w").alias("w1"))
-        .join(cn.select("e1", "e2", F.col("w").alias("w2")), ["e1", "e2"])
-        .where(F.col("w1") < F.col("w2"))
-    )
-    return pairs.select(
-        F.col("e1").alias("v1"),
-        F.col("e2").alias("v2"),
-        F.col("w1").alias("v3"),
-        F.col("w2").alias("v4"),
-    )
+    vs, _, start, arcs = _symmetric(edge_arr)
+    up = arcs[arcs[:, 0] < arcs[:, 1]]
+    cur, o = _extend(up, up[:, 1], start, arcs[:, 1])
+    keep = o > cur[:, 0]
+    paths = np.column_stack([cur[keep, 0], o[keep], cur[keep, 1]])  # (s, o, m)
+    cyc = _pair_up(paths[np.lexsort(paths.T[::-1])])  # (s, o, m1, m2)
+    return vs[cyc[:, [0, 2, 1, 3]]]
+
+
+def two_triangle_members(edge_arr: np.ndarray) -> np.ndarray:
+    """All K4-e — (count, 4) int64: the shared edge ascending, then the
+    apexes ascending.
+
+    The shared edge joins the two degree-3 vertices, so an instance is
+    one edge with one pair of its common neighbours, built once.
+    """
+    vs, keys, start, arcs = _symmetric(edge_arr)
+    up = arcs[arcs[:, 0] < arcs[:, 1]]
+    cur, w = _extend(up, up[:, 0], start, arcs[:, 1])
+    keep = _is_edge(keys, len(vs), cur[:, 1], w)
+    return vs[_pair_up(np.column_stack([cur[keep], w[keep]]))]  # (a, b, apex) rows
 
 
 def _bfs_order(pattern: Pattern):
@@ -217,15 +218,9 @@ def _bfs_order(pattern: Pattern):
     for a, b in pattern.pattern_edges:
         nbrs[a].add(b)
         nbrs[b].add(a)
-    a0, b0 = pattern.pattern_edges[0]
-    order = [a0, b0]
-    seen = {a0, b0}
-    while len(order) < pattern.nv:
-        nxt = next(
-            i for i in range(pattern.nv) if i not in seen and nbrs[i] & seen
-        )  # connected pattern => exists
-        order.append(nxt)
-        seen.add(nxt)
+    order = list(pattern.pattern_edges[0])
+    while len(order) < pattern.nv:  # connected pattern => a next label exists
+        order.append(next(i for i in range(pattern.nv) if i not in order and nbrs[i] & set(order)))
     pos = {lab: k for k, lab in enumerate(order)}
     return order, pos, nbrs
 
@@ -274,24 +269,27 @@ def pattern_instances(
     edges: DataFrame,
     pattern: Pattern,
     edge_arr: np.ndarray | None = None,
-) -> DataFrame:
-    """All instances of ``pattern`` in G — columns v1..vp, one row each.
+) -> np.ndarray:
+    """All instances of ``pattern`` in G — the (count, p) int64 member matrix.
 
-    ``edge_arr`` is ``edges`` already collected to the driver; the clique
-    lister orients it instead of collecting again. The rows are the same
-    either way.
+    ``edge_arr`` is ``edges`` already collected to the driver; the listers
+    use it instead of collecting again. The rows are the same either way.
+    Cliques run the Spark plan and any other non-specialised Psi the
+    generic matcher, each collected here.
     """
+    if pattern.kind not in ("clique", "star", "diamond", "two_triangle"):
+        return collect_instances(_generic_inst(edges, pattern))
+    if edge_arr is None:
+        edge_arr = edge_array(edges)
     if pattern.kind == "clique":
-        return clique_instances(spark, edges, pattern.h, edge_arr=edge_arr)
+        return collect_instances(clique_instances(spark, edges, pattern.h, edge_arr=edge_arr))
     if pattern.kind == "star":
-        return _star_inst(edges, pattern.nv - 1)
+        return star_members(edge_arr, pattern.nv - 1)
     if pattern.kind == "diamond":
-        return _diamond_inst(edges)
-    if pattern.kind == "two_triangle":
-        return _two_triangle_inst(edges)
-    return _generic_inst(edges, pattern)
+        return diamond_members(edge_arr)
+    return two_triangle_members(edge_arr)
 
 
 def collect_instances(inst: DataFrame) -> np.ndarray:
-    """The instance frame as the (num_instances, |V_Psi|) int64 member matrix."""
+    """An instance frame as the (num_instances, |V_Psi|) int64 member matrix."""
     return inst.toPandas().to_numpy(dtype=np.int64)

@@ -11,11 +11,10 @@ from repro.densest.common import gather
 from repro.graph import generators as gen
 from repro.graph.ops import edge_array, edges_from_pandas
 from repro.oracle import assert_equivalent
-from repro.patterns import clique
+from repro.patterns import clique, diamond, star, two_triangle
 from repro.patterns.instances import (
     clique_instances,
     clique_members,
-    collect_instances,
     orient,
     pattern_instances,
 )
@@ -38,7 +37,7 @@ def list_cliques(spark, g, h: int, lister: str) -> np.ndarray:
     """(count, h) member matrix of g's h-cliques from either lister."""
     if lister == "driver":
         return clique_members(edge_array(g), h)
-    return collect_instances(pattern_instances(spark, g, clique(h)))
+    return pattern_instances(spark, g, clique(h))
 
 
 def count_cliques(spark, g, h: int, lister: str) -> int:
@@ -171,12 +170,17 @@ def test_gather_clique_spark_jobs(spark, rand_graph):
 
 
 def test_gather_edge_spark_jobs(spark, rand_graph):
-    """For Psi = edge the collected edge array is the member matrix: the
-    edge collect is the one Spark job, with no listing after it."""
+    """For Psi = edge the collected edge array is the member matrix, and
+    2-star, C4 and K4-e are listed from it on the driver: in each the edge
+    collect is the one Spark job, with no listing after it."""
     g, pdf = rand_graph
     members, jobs = gather_jobs(spark, g, clique(2))
     assert jobs == 1
     assert sorted(map(tuple, members.tolist())) == sorted(zip(pdf["src"], pdf["dst"]))
+    for pat in (star(2), diamond(), two_triangle()):
+        members, jobs = gather_jobs(spark, g, pat)
+        assert jobs == 1, pat.name
+        assert members.shape[1] == pat.nv and len(members) > 0, pat.name
 
 
 @pytest.mark.parametrize("h", [2, 3, 5])

@@ -118,13 +118,13 @@ def test_gamma_upper_bounds_h3_dominates_clique_core(spark):
     invariant CoreApp's stopping criterion needs (it does NOT bound the
     clique-degree, despite the paper's prose; see its docstring in coreapp.py)."""
     from repro.patterns import triangle
-    from repro.patterns.instances import collect_instances, pattern_instances
+    from repro.patterns.instances import pattern_instances
 
     pdf = gen.erdos_renyi_pandas(30, 0.25, seed=19)
     g = edges_from_pandas(spark, pdf)
     vs, g3 = gamma_upper_bounds(pdf.to_numpy(np.int64), 3)
     gamma = dict(zip(vs.tolist(), g3.tolist()))
-    members = collect_instances(pattern_instances(spark, g, triangle()))
+    members = pattern_instances(spark, g, triangle())
     pr = peel_decompose(members, sorted(set(pdf["src"]) | set(pdf["dst"])))
     for v, c in pr.core.items():
         assert gamma[v] >= c - 1e-9, (v, gamma[v], c)

@@ -19,12 +19,17 @@ from repro.patterns import (
     triangle,
     two_triangle,
 )
-from repro.patterns.instances import collect_instances, pattern_instances
+from repro.patterns.instances import (
+    diamond_members,
+    pattern_instances,
+    star_members,
+    two_triangle_members,
+)
 
 
 def list_instances(spark, g, pattern: Pattern) -> np.ndarray:
-    """The collected member matrix of ``pattern`` in g."""
-    return collect_instances(pattern_instances(spark, g, pattern))
+    """The member matrix of ``pattern`` in g."""
+    return pattern_instances(spark, g, pattern)
 
 
 def count_instances(spark, g, pattern: Pattern) -> int:
@@ -137,10 +142,34 @@ PATTERNS = [
 ]
 
 
-@pytest.mark.parametrize("pat", PATTERNS, ids=[p.name for p in PATTERNS])
-def test_counts_vs_bruteforce(spark, rand_graph, pat):
-    g, pdf = rand_graph
+# The array listers also run on the graph with ids shifted past 2^40: they
+# key edges in rank space, so the raw ids never enter an int64 product.
+PATTERN_CASES = [pytest.param(p, 0, id=p.name) for p in PATTERNS] + [
+    pytest.param(p, 1 << 40, id=f"{p.name}-shifted")
+    for p in (star(2), star(3), diamond(), two_triangle())
+]
+
+
+@pytest.mark.parametrize("pat,offset", PATTERN_CASES)
+def test_counts_vs_bruteforce(spark, rand_graph, pat, offset):
+    _, pdf = rand_graph
+    g = edges_from_pandas(spark, pdf + offset)
     assert count_instances(spark, g, pat) == len(brute_pattern_instances(pdf, pat))
+
+
+ARRAY_LISTERS = {
+    "2-star": (lambda e: star_members(e, 2), 3),
+    "3-star": (lambda e: star_members(e, 3), 4),
+    "diamond": (diamond_members, 4),
+    "2-triangle": (two_triangle_members, 4),
+}
+
+
+@pytest.mark.parametrize("name", list(ARRAY_LISTERS))
+def test_array_lister_of_empty_edge_array(name):
+    lister, p = ARRAY_LISTERS[name]
+    got = lister(np.empty((0, 2), dtype=np.int64))
+    assert got.shape == (0, p) and got.dtype == np.int64
 
 
 @pytest.mark.parametrize(
@@ -194,8 +223,9 @@ def test_generic_matches_specialized(spark, rand_graph):
 
 
 def test_specialised_rows_unique(spark, rand_graph):
-    """The specialised listers build each instance once, in a canonical
-    member order, so no two collected rows are equal as ordered tuples."""
+    """The specialised listers (the Spark clique plan and the star, C4 and
+    K4-e array listers) build each instance once, in a canonical member
+    order, so no two rows are equal as ordered tuples."""
     g, _ = rand_graph
     for pat in (triangle(), star(2), star(3), diamond(), two_triangle()):
         members = list_instances(spark, g, pat)
@@ -227,9 +257,12 @@ FORMAT_PATTERNS = [
 
 @pytest.mark.parametrize("pat", FORMAT_PATTERNS, ids=[p.name for p in FORMAT_PATTERNS])
 def test_instance_frame_is_member_columns(spark, k6, pat):
-    """An instance frame is exactly its member columns v1..vp."""
-    g, _ = k6
-    assert pattern_instances(spark, g, pat).columns == [f"v{i}" for i in range(1, pat.nv + 1)]
+    """Every Psi's instances come back as the (count, p) int64 member
+    matrix: one row per instance, one column per member."""
+    g, pdf = k6
+    members = pattern_instances(spark, g, pat)
+    assert isinstance(members, np.ndarray) and members.dtype == np.int64
+    assert members.shape == (len(brute_pattern_instances(pdf, pat)), pat.nv)
 
 
 def test_pattern_validation():
