@@ -26,13 +26,14 @@ import numpy as np
 
 @dataclass
 class CoreDecomposition:
-    """Core numbers of (vertices, instances) and the densest core."""
+    """Core numbers of (vertices, instances) and the densest core. Every
+    vertex set is an int64 id array, sorted unless said otherwise."""
 
-    core: dict  # vertex -> clique-core number
+    verts: np.ndarray  # every vertex id
+    core: np.ndarray  # int64 clique-core number of each of ``verts``
     kmax: int
-    kmax_core: list  # sorted vertices with core == kmax; empty when kmax == 0
-    best_vertices: list  # densest residual subgraph, G included (rho')
-    n_instances: int
+    kmax_core: np.ndarray  # ids with core == kmax; empty when kmax == 0
+    best_vertices: np.ndarray  # densest residual subgraph, G included (rho')
 
 
 @dataclass
@@ -40,7 +41,7 @@ class PeelResult(CoreDecomposition):
     """A one-vertex-at-a-time peel: ``best_vertices`` is the densest
     residual over every prefix of ``order`` (PeelApp's S*)."""
 
-    order: list  # removal order (all vertices)
+    order: np.ndarray  # removal order (all vertices)
 
 
 def _vertex_index(members: np.ndarray, all_vertices) -> tuple:
@@ -122,14 +123,13 @@ def core_decompose(members: np.ndarray, all_vertices) -> CoreDecomposition:
             batch = hit[cdeg[hit] <= k]
         alive = alive[v_alive[alive]]
 
-    vl = verts.tolist()
     kmax = int(core.max()) if n else 0
     return CoreDecomposition(
-        core=dict(zip(vl, core.tolist())),
+        verts=verts,
+        core=core,
         kmax=kmax,
-        kmax_core=verts[core == kmax].tolist() if kmax else [],
-        best_vertices=verts[core >= best_k].tolist() if best_v else [],
-        n_instances=ninst,
+        kmax_core=verts[core == kmax] if kmax else verts[:0],
+        best_vertices=verts[core >= best_k] if best_v else verts[:0],
     )
 
 
@@ -185,28 +185,28 @@ def peel_decompose(members: np.ndarray, all_vertices) -> PeelResult:
             best_density = dens
             best_alive = alive_v
 
-    vl = verts.tolist()
-    kmax = max(core, default=0)
-    order = [vl[i] for i in peeled]
+    core = np.array(core, dtype=np.int64)
+    kmax = int(core.max()) if n else 0
+    order = verts[np.array(peeled, dtype=np.int64)]
     # residual subgraph achieving best density = last best_alive vertices removed
-    best_vertices = order[n - best_alive :] if best_alive else []
     return PeelResult(
-        core=dict(zip(vl, core)),
+        verts=verts,
+        core=core,
         order=order,
         kmax=kmax,
-        kmax_core=[v for v, c in zip(vl, core) if c == kmax] if kmax else [],
-        best_vertices=sorted(best_vertices),
-        n_instances=ninst,
+        kmax_core=verts[core == kmax] if kmax else verts[:0],
+        best_vertices=np.sort(order[n - best_alive :]),
     )
 
 
-def hindex_core_numbers(members: np.ndarray, all_vertices) -> dict:
-    """Vertex -> (k,Psi)-core number by the local h-operator fixpoint.
+def hindex_core_numbers(members: np.ndarray, all_vertices) -> np.ndarray:
+    """(k,Psi)-core numbers by the local h-operator fixpoint.
 
     Takes the arguments of ``core_decompose`` and returns the same
-    ``core`` mapping, by the synchronous AND rounds of Sariyuce, Seshadhri
-    & Pinar ("Local Algorithms for Hierarchical Dense Subgraph Discovery",
-    PVLDB 2018; h-index -> coreness per Lu et al., Nat. Commun. 2016).
+    ``core`` array, aligned with the sorted distinct ``all_vertices``, by
+    the synchronous AND rounds of Sariyuce, Seshadhri & Pinar ("Local
+    Algorithms for Hierarchical Dense Subgraph Discovery", PVLDB 2018;
+    h-index -> coreness per Lu et al., Nat. Commun. 2016).
     Every estimate starts at the clique-degree. Each round gives every
     member of an instance the smallest estimate among the instance's
     *other* members; a vertex's new estimate is the h-index of its values,
@@ -232,10 +232,11 @@ def hindex_core_numbers(members: np.ndarray, all_vertices) -> dict:
         if np.array_equal(new, est):
             break
         est = new
-    return dict(zip(verts.tolist(), est.tolist()))
+    return est
 
 
-def instances_inside(members: np.ndarray, vertex_set) -> np.ndarray:
-    """Boolean mask of instances whose members all lie in ``vertex_set``."""
-    vs = np.fromiter(vertex_set, dtype=np.int64)
-    return np.isin(members, vs).all(axis=1)
+def instances_inside(members: np.ndarray, vertex_ids) -> np.ndarray:
+    """Boolean mask of instances whose members all lie in ``vertex_ids``
+    (an array-like of ids; a set raises ``TypeError``, as ``np.isin`` would
+    read it as one object and match nothing)."""
+    return np.isin(members, np.asarray(vertex_ids, dtype=np.int64)).all(axis=1)

@@ -43,7 +43,8 @@ def kmax_core_coreapp(
     pattern: Pattern,
     w0: int | None = None,
 ) -> tuple:
-    """Returns (kmax, core_vertices, info) — the (k_max, Psi)-core of G."""
+    """Returns (kmax, core_vertices, info) — the (k_max, Psi)-core of G,
+    its vertices a sorted list."""
     clock = PhaseClock()
     on_driver = pattern.kind == "clique"
     with clock.phase("enumerate"):
@@ -65,7 +66,7 @@ def kmax_core_coreapp(
     # take max(32, 4|V_Psi|, n/32) so round count stays logarithmic in
     # the core position without scanning the whole graph up front.
     w = min(n, w0 if w0 else max(32, 4 * pattern.nv, n // 32))
-    kmax, core_verts, core_instances, rounds = 0, [], 0, 0
+    kmax, core_verts, core_instances, rounds = 0, order[:0], 0, 0
     while True:
         rounds += 1
         W = order[:w]
@@ -96,7 +97,7 @@ def kmax_core_coreapp(
         "core_instances": core_instances,
         "timings": clock.timings(),
     }
-    return kmax, core_verts, info
+    return kmax, core_verts.tolist(), info
 
 
 def gamma_upper_bounds(edge_arr: np.ndarray, h: int) -> tuple:
@@ -127,8 +128,7 @@ def gamma_upper_bounds(edge_arr: np.ndarray, h: int) -> tuple:
     vs, deg = np.unique(edge_arr, return_counts=True)
     if h == 2:
         return vs, deg.astype(np.float64)
-    core = peel_decompose(edge_arr, vs).core
-    x = np.array([core[v] for v in vs.tolist()], dtype=np.float64)
+    x = peel_decompose(edge_arr, vs).core.astype(np.float64)
     g = np.ones_like(x)
     for i in range(h - 1):
         g = g * np.maximum(x - i, 0.0) / (i + 1)

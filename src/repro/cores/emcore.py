@@ -30,7 +30,8 @@ from repro.phases import PhaseClock
 
 
 def kmax_core_emcore(spark: SparkSession, edges: DataFrame) -> tuple:
-    """Returns (kmax, core_vertices, info) for classical (edge) cores."""
+    """Returns (kmax, core_vertices, info) for classical (edge) cores, the
+    core's vertices a sorted list."""
     clock = PhaseClock()
     with clock.phase("enumerate"):
         edge_arr = edge_array(edges)
@@ -48,5 +49,6 @@ def kmax_core_emcore(spark: SparkSession, edges: DataFrame) -> tuple:
         with clock.phase("decompose"):
             pr = core_numbers_peel(block, hv)
         if pr.kmax >= t or t <= 1:
-            return pr.kmax, pr.kmax_core, {"rounds": rounds, "timings": clock.timings()}
+            return (pr.kmax, pr.kmax_core.tolist(),
+                    {"rounds": rounds, "timings": clock.timings()})
         t = max(1, t // 2)

@@ -19,7 +19,7 @@ class DSDResult:
 
     algorithm: str
     pattern: str
-    vertices: list  # the returned subgraph's vertex set
+    vertices: list  # the returned subgraph's vertex set: sorted Python ints
     density: float  # its exact Psi-density
     kmax: int | None = None
     timings: dict = field(default_factory=dict)  # seconds per phase
@@ -38,7 +38,7 @@ def gather(
 ) -> tuple:
     """(all_vertex_ids, member_matrix) — the driver-side problem instance.
 
-    The vertex ids are sorted ascending, read off the edge array (pass
+    The vertex ids are a sorted int64 array, read off the edge array (pass
     ``edge_arr`` when the caller already collected it). The edge array is
     collected first and handed to ``pattern_instances``, so no lister
     collects it again. For Psi = edge the edge array is the member
@@ -46,7 +46,7 @@ def gather(
     """
     if edge_arr is None:
         edge_arr = edge_array(edges)
-    allv = np.unique(edge_arr).tolist()
+    allv = np.unique(edge_arr)
     if pattern.kind == "clique" and pattern.h == 2:
         return allv, edge_arr
     if not len(edge_arr):
@@ -54,12 +54,12 @@ def gather(
     return allv, pattern_instances(spark, edges, pattern, edge_arr=edge_arr)
 
 
-def exact_density(members: np.ndarray, vertex_set) -> Fraction:
-    """rho(G[S], Psi) = instances fully inside S / |S|, as an exact fraction."""
-    vs = set(vertex_set)
-    if not vs:
+def exact_density(members: np.ndarray, vertex_ids) -> Fraction:
+    """rho(G[S], Psi) = instances fully inside S / |S|, as an exact
+    fraction; S is given as an array-like of distinct ids."""
+    if not len(vertex_ids):
         return Fraction(0)
-    return Fraction(int(instances_inside(members, vs).sum()), len(vs))
+    return Fraction(int(instances_inside(members, vertex_ids).sum()), len(vertex_ids))
 
 
 def certificate(vertices, density: Fraction, alpha: Fraction) -> dict:

@@ -23,5 +23,5 @@ def core_app(
     # the round's G[W] (none when k_max = 0, where the fallback is returned)
     dens = info["core_instances"] / len(verts) if verts else 0.0
     timings = info.pop("timings")  # kmax_core_coreapp's clock covers the call
-    return DSDResult("CoreApp", pattern.name, sorted(verts), dens, kmax=kmax,
+    return DSDResult("CoreApp", pattern.name, verts, dens, kmax=kmax,
                      timings=timings, stats=info)

@@ -25,38 +25,30 @@ from repro.patterns.base import Pattern
 from repro.phases import PhaseClock
 
 
-def exact_densest(
-    spark: SparkSession,
-    edges: DataFrame,
-    pattern: Pattern,
-    grouped: bool | None = None,
-) -> DSDResult:
+def exact_densest(spark: SparkSession, edges: DataFrame, pattern: Pattern) -> DSDResult:
     """Find the CDS/PDS exactly: Algorithm 1's network, Dinkelbach's
-    search (+ construct+ grouping for non-clique patterns when
-    ``grouped`` is None)."""
+    search (+ construct+ grouping for non-clique patterns)."""
     clock = PhaseClock()
     with clock.phase("enumerate"):
         allv, members = gather(spark, edges, pattern)
-    if grouped is None:
-        grouped = pattern.kind not in ("clique",)
 
     n = len(allv)
     stats = {"iterations": 0, "n": n, "instances": int(members.shape[0]),
              "network_sizes": [], "network_builds": 0}
     solvable = members.shape[0] > 0 and n >= 2
     # no instances: every set has density 0, the smallest id is returned
-    best = allv if solvable else allv[:1]
+    best = (allv if solvable else allv[:1]).tolist()
     with clock.phase("locate"):
         alpha = exact_density(members, best)
     if solvable:
         with clock.phase("build"):
-            net, s, t, vid2node, n_nodes = build_network(
-                allv, members, alpha, pattern.nv, grouped=grouped)
+            net, s, t, vids, n_nodes = build_network(
+                allv, members, alpha, pattern.nv, grouped=pattern.kind != "clique")
         stats["network_builds"] = 1
         while True:
             with clock.phase("flow"):
                 net.set_alpha(alpha)
-                cut = min_cut_vertices(net, s, t, vid2node)
+                cut = min_cut_vertices(net, s, t, vids)
             stats["network_sizes"].append(n_nodes)
             if not cut:
                 break
@@ -65,5 +57,5 @@ def exact_densest(
                 alpha = exact_density(members, best)
     stats["iterations"] = len(stats["network_sizes"])
     stats["certificate"] = certificate(best, alpha, alpha)
-    return DSDResult("Exact", pattern.name, sorted(best), float(alpha),
+    return DSDResult("Exact", pattern.name, best, float(alpha),
                      timings=clock.timings(), stats=stats)

@@ -20,9 +20,10 @@ def inc_app(
         allv, members = gather(spark, edges, pattern)
     with clock.phase("decompose"):
         pr = core_decompose(members, allv)
-    core_verts = pr.kmax_core or allv[:1]
+    # with no instance every set has density 0; the smallest id answers
+    core_verts = pr.kmax_core if pr.kmax else allv[:1]
     with clock.phase("locate"):
         dens = float(exact_density(members, core_verts))
-    return DSDResult("IncApp", pattern.name, core_verts, dens, kmax=pr.kmax,
+    return DSDResult("IncApp", pattern.name, core_verts.tolist(), dens, kmax=pr.kmax,
                      timings=clock.timings(),
                      stats={"instances": int(members.shape[0]), "n": len(allv)})

@@ -8,7 +8,10 @@ instances sharing a vertex set collapse into one group node g with
 v -> g cap |g| and g -> v cap |g| * (|V_Psi| - 1). Lemma 12 guarantees
 identical min-cut capacity (tested). The four arc blocks are numpy
 arrays, laid out as CSR by ``repro.flow.dinic.Dinic`` in one pass; no
-arc is added one at a time.
+arc is added one at a time. Vertex node i + 1 is the i-th id of the
+sorted id array the network is built on, so the cut side maps back to ids
+by one mask. Every row of the member matrix given gets an instance node:
+Lemma-8 pruning (``lemma8_keep_mask``) is a row mask the caller applies.
 
 alpha is a ``Fraction`` a/b (a float is converted exactly), and every
 capacity is multiplied by the network's ``scale``, a multiple of b, so
@@ -101,35 +104,26 @@ def group_instances(members: np.ndarray) -> tuple:
     return uniq, counts
 
 
-def build_network(
-    vertex_ids,
-    members: np.ndarray,
-    alpha,
-    p: int,
-    grouped: bool = False,
-    keep_mask: np.ndarray | None = None,
-):
+def build_network(vertex_ids, members: np.ndarray, alpha, p: int, grouped: bool = False):
     """Build the Algorithm-1 / construct+ flow network at ``alpha``.
 
     ``alpha``:      a ``Fraction`` (or anything ``Fraction`` converts
                     exactly); capacities are scaled by its denominator.
-    ``vertex_ids``: vertices of the (sub)graph the network is built on.
-    ``members``:    instance member matrix restricted to that subgraph.
-    ``keep_mask``:  optional boolean mask from Lemma-8 pruning — masked-out
-                    instances get no node, and source capacities are the
-                    degrees over *kept* instances only (per the Lemma 8
-                    proof, clique-degrees drop by one per removed instance).
+    ``vertex_ids``: the sorted distinct ids of the (sub)graph the network
+                    is built on.
+    ``members``:    instance member matrix restricted to that subgraph,
+                    one instance node per row. Source capacities are the
+                    degrees over these rows, so a Lemma-8-pruned matrix
+                    gets the reduced clique-degrees of the Lemma 8 proof.
 
-    Returns (net, s, t, vid2node, n_nodes) with vertex nodes 1..n in
-    ascending id order; ``net`` is a ``DensityNetwork`` whose
-    ``sink_arcs`` are the CSR positions of the vertex -> t arcs.
+    Returns (net, s, t, vids, n_nodes): ``vids`` is ``vertex_ids`` as an
+    int64 array, whose i-th id is vertex node i + 1; ``net`` is a
+    ``DensityNetwork`` whose ``sink_arcs`` are the CSR positions of the
+    vertex -> t arcs.
     """
-    vids = np.sort(np.fromiter(vertex_ids, dtype=np.int64))
+    vids = np.asarray(vertex_ids, dtype=np.int64)
     nv = len(vids)
-    vid2node = dict(zip(vids.tolist(), range(1, nv + 1)))
 
-    if keep_mask is not None and members.shape[0]:
-        members = members[keep_mask]
     if grouped:
         gm, gcount = group_instances(members)
     else:
@@ -159,30 +153,35 @@ def build_network(
     cap[nv : 2 * nv] = sink
     del unit
     net = DensityNetwork(t + 1, tail, head, cap, slice(nv, 2 * nv), p, alpha, b)
-    return net, s, t, vid2node, t + 1
+    return net, s, t, vids, t + 1
 
 
-def min_cut_vertices(net: DensityNetwork, s: int, t: int, vid2node: dict) -> list:
-    """Run max-flow and return graph vertices on the source side of the cut.
+def min_cut_vertices(net: DensityNetwork, s: int, t: int, vids: np.ndarray) -> list:
+    """Run max-flow and return graph vertices on the source side of the cut,
+    as a sorted list; ``vids`` is the id array ``build_network`` returned.
 
     A non-empty cut's flow is kept as the warm start for later probes.
     """
     net.max_flow(s, t)
-    side = net.min_cut_source_side(s)
-    cut = [v for v, node in vid2node.items() if side[node]]
+    side = np.frombuffer(net.min_cut_source_side(s), dtype=np.uint8)
+    cut = vids[side[1 : len(vids) + 1].astype(bool)].tolist()
     if cut:
         net.keep_flow()
     return cut
 
 
-def lemma8_keep_mask(members: np.ndarray, n_vertices: int, cap: int = 20_000) -> np.ndarray:
+# Lemma 8 runs only on at most this many instances (see lemma8_keep_mask)
+LEMMA8_CAP = 20_000
+
+
+def lemma8_keep_mask(members: np.ndarray, n_vertices: int) -> np.ndarray:
     """Lemma-8 instance pruning mask (True = keep the instance node).
 
     An instance psi may be dropped if deleting its members from G raises
     the density: mu'/(n-p) > mu/n, tested as mu'*n > mu*(n-p), where mu'
     counts instances avoiding psi's members. Applied only when
-    |Lambda| <= cap (it is a constant-factor optimization; skipping it
-    never affects correctness).
+    |Lambda| <= ``LEMMA8_CAP`` (it is a constant-factor optimization;
+    skipping it never affects correctness).
 
     mu - mu' = |U_{v in psi} I(v)|, with I(v) the instances containing v,
     is counted by inclusion-exclusion over the subsets of psi:
@@ -191,7 +190,7 @@ def lemma8_keep_mask(members: np.ndarray, n_vertices: int, cap: int = 20_000) ->
     of locally renumbered ids, so the cost is O(|Lambda| 2^p log|Lambda|).
     """
     m = members.shape[0]
-    if m == 0 or m > cap:
+    if m == 0 or m > LEMMA8_CAP:
         return np.ones(m, dtype=bool)
     p = members.shape[1]
     if n_vertices <= p:

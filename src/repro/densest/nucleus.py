@@ -19,11 +19,11 @@ def nucleus_app(
         allv, members = gather(spark, edges, pattern)
     with clock.phase("decompose"):
         core = hindex_core_numbers(members, allv)
-        kmax = max(core.values(), default=0)
-        verts = [v for v, c in core.items() if c == kmax]  # ascending ids
-    if kmax == 0:  # no instance: every set has density 0; the smallest id answers
-        verts = verts[:1]
+        kmax = int(core.max(initial=0))
+        # no instance: every set has density 0; the smallest id answers
+        verts = allv[core == kmax] if kmax else allv[:1]
     with clock.phase("locate"):
         dens = float(exact_density(members, verts))
-    return DSDResult("Nucleus", pattern.name, verts, dens, kmax=kmax,
-                     timings=clock.timings())
+    return DSDResult("Nucleus", pattern.name, verts.tolist(), dens, kmax=kmax,
+                     timings=clock.timings(),
+                     stats={"instances": int(members.shape[0]), "n": len(allv)})

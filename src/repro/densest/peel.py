@@ -28,6 +28,6 @@ def peel_app(
     verts = pr.best_vertices if pr.kmax else allv[:1]
     with clock.phase("locate"):
         dens = float(exact_density(members, verts))
-    return DSDResult("PeelApp", pattern.name, sorted(verts), dens, kmax=pr.kmax,
+    return DSDResult("PeelApp", pattern.name, verts.tolist(), dens, kmax=pr.kmax,
                      timings=clock.timings(),
                      stats={"instances": int(members.shape[0]), "n": len(allv)})

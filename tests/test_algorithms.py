@@ -1,5 +1,7 @@
-"""Properties every densest-subgraph algorithm shares: one phase key set,
-and one answer on degenerate input."""
+"""Properties every densest-subgraph algorithm shares: one signature, one
+phase key set, the same basic stats, one answer on degenerate input, and
+vertex sets handed out as sorted lists of Python ints."""
+import inspect
 from itertools import combinations
 
 import numpy as np
@@ -51,6 +53,25 @@ def test_timings_have_one_key_set(spark, name):
     assert 0.95 * t["total"] <= phases <= t["total"]
 
 
+@pytest.mark.parametrize("name", [a for a in ALGORITHMS if a != "core_app"])
+def test_stats_have_n_and_instances(spark, seeded_graph, name):
+    """Every algorithm that gathers the member matrix reports the vertex
+    and instance counts of the problem it solved."""
+    allv, members = gather(spark, seeded_graph, triangle())
+    st = ALGORITHMS[name](spark, seeded_graph, triangle()).stats
+    assert members.shape[0] > 0
+    assert (st["n"], st["instances"]) == (len(allv), members.shape[0])
+
+
+def test_entry_points_take_spark_edges_pattern():
+    """Every DSD entry point takes exactly (spark, edges, pattern): a variant
+    of an algorithm is not a switch on it. CoreApp's initial |W| (``w0``),
+    which its multi-round tests set, is the one exception."""
+    for name, algo in ALGORITHMS.items():
+        want = ["spark", "edges", "pattern"] + (["w0"] if name == "core_app" else [])
+        assert list(inspect.signature(algo).parameters) == want, name
+
+
 B = 2 ** 62
 DEGENERATE = {
     "empty": pd.DataFrame({"src": [], "dst": []}),
@@ -83,11 +104,23 @@ def _oracle(pdf: pd.DataFrame, pattern):
     return allv, members, opt
 
 
+def _sorted_ints(vertices) -> bool:
+    """``vertices`` is a sorted list of Python ints, the format every vertex
+    set leaves the program in (id arrays run inside)."""
+    return (type(vertices) is list and all(type(v) is int for v in vertices)
+            and vertices == sorted(vertices))
+
+
 @pytest.fixture(scope="module")
 def degenerate_graphs(spark):
     """Each degenerate input normalized once, so its cells share the rows."""
     return {name: edges_from_pandas(spark, pdf).localCheckpoint(eager=True)
             for name, pdf in DEGENERATE.items()}
+
+
+@pytest.fixture(scope="module")
+def seeded_graph(spark):
+    return edges_from_pandas(spark, gen.erdos_renyi_pandas(15, 0.3, seed=2))
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
@@ -100,6 +133,7 @@ def test_degenerate_input(spark, degenerate_graphs, graph, pat, algo):
     1/|V_Psi| of optimal for the approximations."""
     allv, members, opt = _oracle(DEGENERATE[graph], pat)
     r = ALGORITHMS[algo](spark, degenerate_graphs[graph], pat)
+    assert _sorted_ints(r.vertices)
     if not allv:
         assert (r.vertices, r.density) == ([], 0.0)
     elif not len(members):
@@ -112,6 +146,26 @@ def test_degenerate_input(spark, degenerate_graphs, graph, pat, algo):
             assert opt / pat.nv <= r.density <= opt
 
 
+def test_algorithms_return_sorted_int_lists(spark, seeded_graph):
+    """On a graph with instances of every Psi, each algorithm's vertex set
+    is a sorted list of Python ints (the degenerate matrix checks the rest)."""
+    for pat in PATTERNS:
+        for name, algo in ALGORITHMS.items():
+            r = algo(spark, seeded_graph, pat)
+            assert r.density > 0 and _sorted_ints(r.vertices), (pat.name, name)
+
+
+@pytest.mark.parametrize("graph", [*DEGENERATE, "seeded"])
+def test_kmax_core_finders_return_sorted_int_lists(spark, degenerate_graphs, seeded_graph,
+                                                   graph):
+    """The (k_max, Psi)-core that CoreApp and EMcore return is a sorted list
+    of Python ints, CoreApp's for a clique and a non-clique Psi."""
+    g = seeded_graph if graph == "seeded" else degenerate_graphs[graph]
+    for pat in (triangle(), star(2)):
+        assert _sorted_ints(kmax_core_coreapp(spark, g, pat)[1]), pat.name
+    assert _sorted_ints(kmax_core_emcore(spark, g)[1])
+
+
 @pytest.mark.parametrize("pat", [triangle(), star(2)], ids=["triangle", "2-star"])
 def test_gather_lists_nothing_on_an_empty_graph(spark, degenerate_graphs, monkeypatch, pat):
     """An empty edge array has no instance of Psi: ``gather`` answers from
@@ -121,7 +175,7 @@ def test_gather_lists_nothing_on_an_empty_graph(spark, degenerate_graphs, monkey
 
     monkeypatch.setattr("repro.densest.common.pattern_instances", no_listing)
     allv, members = gather(spark, degenerate_graphs["empty"], pat)
-    assert allv == []
+    assert allv.shape == (0,) and allv.dtype == np.int64
     assert members.shape == (0, pat.nv) and members.dtype == np.int64
 
 

@@ -1,5 +1,5 @@
-"""CoreExact (Algorithm 4) == Exact == brute force; pruning ablation;
-optimality certificates."""
+"""CoreExact (Algorithm 4) == Exact == brute force; optimality
+certificates; what the localization and prunings report."""
 from fractions import Fraction
 
 import pandas as pd
@@ -38,25 +38,6 @@ def test_core_exact_matches_exact_medium(spark, seed, pat):
     assert r2.density == pytest.approx(r1.density, abs=1e-9)
 
 
-@pytest.mark.parametrize(
-    "flags",
-    [
-        dict(use_p1=True, use_p2=False),
-        dict(use_p1=False, use_p2=True),
-        dict(use_p1=False, use_p2=False),
-        dict(use_lemma8=False),
-    ],
-    ids=["P1", "P2", "none", "noL8"],
-)
-def test_pruning_variants_agree(spark, flags):
-    pdf = gen.erdos_renyi_pandas(14, 0.35, seed=6)
-    g = edges_from_pandas(spark, pdf)
-    pat = triangle()
-    full = core_exact(spark, g, pat)
-    variant = core_exact(spark, g, pat, **flags)
-    assert variant.density == pytest.approx(full.density, abs=1e-9)
-
-
 CERT_PATTERNS = [edge(), triangle(), diamond()]
 
 
@@ -78,9 +59,9 @@ def test_certificate_proves_optimality(spark, seed, pat):
         assert rho == exact_density(members, res.vertices) == optimum, res.algorithm
         assert Fraction(cert["alpha"]) == rho, res.algorithm
         assert res.density == float(rho)
-        net, s, t, v2n, _ = build_network(allv, members, rho, pat.nv,
-                                          grouped=pat.kind != "clique")
-        assert min_cut_vertices(net, s, t, v2n) == [], res.algorithm
+        net, s, t, vids, _ = build_network(allv, members, rho, pat.nv,
+                                           grouped=pat.kind != "clique")
+        assert min_cut_vertices(net, s, t, vids) == [], res.algorithm
 
 
 def test_boundary_disjoint_equal_cliques(spark):
@@ -118,20 +99,6 @@ def test_network_shrinks_with_iterations(spark):
     assert max(res.stats["network_sizes"]) < n + res.stats["instances"] + 2
 
 
-def test_network_rebuilt_only_when_vertex_set_shrinks(spark):
-    """Probes between builds reuse one network, so the per-probe sizes
-    change only at a rebuild. Without P1/P2 the search starts low and
-    the component shrinks to a higher core on the way up."""
-    pdf = gen.erdos_renyi_pandas(30, 0.5, seed=1)
-    g = edges_from_pandas(spark, pdf)
-    res = core_exact(spark, g, triangle(), use_p1=False, use_p2=False)
-    sizes = res.stats["network_sizes"]
-    assert len(sizes) == res.stats["iterations"]
-    runs = 1 + sum(a != b for a, b in zip(sizes, sizes[1:]))
-    assert 1 < runs <= res.stats["network_builds"] < res.stats["iterations"]
-    assert res.density == pytest.approx(core_exact(spark, g, triangle()).density, abs=1e-9)
-
-
 def test_core_exact_no_instances(spark):
     pdf = pd.DataFrame({"src": [0, 1], "dst": [1, 2]})
     g = edges_from_pandas(spark, pdf)
@@ -140,11 +107,17 @@ def test_core_exact_no_instances(spark):
     assert res.kmax == 0
 
 
-@pytest.mark.parametrize("pat", CERT_PATTERNS, ids=[p.name for p in CERT_PATTERNS])
+LOCATE_PATTERNS = [*CERT_PATTERNS, star(2)]
+
+
+@pytest.mark.parametrize("pat", LOCATE_PATTERNS, ids=[p.name for p in LOCATE_PATTERNS])
 def test_localization_stats(spark, pat):
-    """CoreExact reports its localization: the located core's size and
-    component count, and the lower bound l as "a/b", which never exceeds
-    the certified density. With no instance nothing is located."""
+    """CoreExact reports its localization: the located core's size after
+    each bound, its component count, and the lower bound l as "a/b", which
+    never exceeds the certified density; and what the searches cost. On
+    this graph every located component keeps two or more vertices in the
+    ceil(l)-core, so each is searched, on one network built for it. With
+    no instance nothing is located."""
     pdf = gen.compose(
         gen.clique_pandas(range(8)),
         gen.chung_lu_pandas(100, 250, alpha=2.5, seed=8, offset=20),
@@ -155,6 +128,14 @@ def test_localization_stats(spark, pat):
     assert 8 <= n_located <= st["n"] and 1 <= n_comps <= n_located
     num, den = map(int, st["lower_bound"].split("/"))
     assert Fraction(num, den) <= Fraction(st["certificate"]["density"])
+    by_bound = st["located_by_bound"]
+    assert len(by_bound) == 3 and by_bound[-1] == n_located
+    assert all(a >= b for a, b in zip(by_bound, by_bound[1:])), by_bound
+    assert st["network_builds"] == n_comps
+    assert len(st["network_sizes"]) == st["iterations"] >= n_comps
+    assert 0 <= st["lemma8_pruned"] <= st["instances"]
     none = core_exact(spark, edges_from_pandas(spark, gen.clique_pandas(range(2))), triangle())
     assert (none.stats["located_vertices"], none.stats["components"]) == (0, 0)
+    assert none.stats["located_by_bound"] == [0, 0, 0]
+    assert (none.stats["network_builds"], none.stats["lemma8_pruned"]) == (0, 0)
     assert none.stats["lower_bound"] == "0/1"

@@ -117,5 +117,5 @@ def test_cut_exact_at_stopping_gap(n, f):
     tail = np.stack([np.r_[0, path[:-1]], path], axis=1)
     edges = np.vstack([k20, tail])
     alpha = 9.5 - f / (n * (n - 1))
-    net, s, t, vid2node, _ = build_network(range(n), edges, alpha, 2)
-    assert min_cut_vertices(net, s, t, vid2node) == list(range(20))
+    net, s, t, vids, _ = build_network(range(n), edges, alpha, 2)
+    assert min_cut_vertices(net, s, t, vids) == list(range(20))

@@ -19,13 +19,15 @@ from repro.graph.ops import edge_array, edges_from_pandas
 def hindex_cores(g) -> dict:
     """Core number per vertex from the h-index fixpoint over the edge array."""
     arr = edge_array(g)
-    return hindex_core_numbers(arr, np.unique(arr))
+    verts = np.unique(arr)
+    return dict(zip(verts.tolist(), hindex_core_numbers(arr, verts).tolist()))
 
 
 def edge_core_numbers(pdf: pd.DataFrame) -> dict:
     """Core numbers from the driver peel over the edge array."""
     arr = pdf[["src", "dst"]].to_numpy(np.int64)
-    return peel_decompose(arr, np.unique(arr)).core
+    pr = peel_decompose(arr, np.unique(arr))
+    return dict(zip(pr.verts.tolist(), pr.core.tolist()))
 
 
 def nx_core_numbers(pdf: pd.DataFrame) -> dict:
@@ -85,12 +87,12 @@ def test_kmax_core():
     """PeelResult.kmax_core: the sorted vertices with core == k_max, empty
     when k_max == 0."""
     pr = peel_decompose(np.empty((0, 2), dtype=np.int64), [])
-    assert (pr.kmax, pr.kmax_core) == (0, [])
+    assert (pr.kmax, pr.kmax_core.tolist()) == (0, [])
     pr = peel_decompose(np.empty((0, 2), dtype=np.int64), [7, 5])
-    assert (pr.kmax, pr.kmax_core) == (0, [])
+    assert (pr.kmax, pr.kmax_core.tolist()) == (0, [])
     # triangle {3, 1, 2} with a pendant 9 on 1: cores {1, 2, 3}: 2, {9}: 1
     pr = peel_decompose(np.array([[3, 1], [1, 2], [2, 3], [1, 9]]), [1, 2, 3, 9])
-    assert (pr.kmax, pr.kmax_core) == (2, [1, 2, 3])
+    assert (pr.kmax, pr.kmax_core.tolist()) == (2, [1, 2, 3])
 
 
 def test_nested_property(spark):
@@ -126,7 +128,7 @@ def test_gamma_upper_bounds_h3_dominates_clique_core(spark):
     gamma = dict(zip(vs.tolist(), g3.tolist()))
     members = pattern_instances(spark, g, triangle())
     pr = peel_decompose(members, sorted(set(pdf["src"]) | set(pdf["dst"])))
-    for v, c in pr.core.items():
+    for v, c in zip(pr.verts.tolist(), pr.core.tolist()):
         assert gamma[v] >= c - 1e-9, (v, gamma[v], c)
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from repro.densest.common import gather
 from repro.densest.network import (
+    LEMMA8_CAP,
     build_network,
     group_instances,
     lemma8_keep_mask,
@@ -20,10 +21,8 @@ from repro.graph.ops import edges_from_pandas
 from repro.patterns import diamond, edge, triangle
 
 
-def _mincut_value(vertex_ids, members, alpha, p, grouped=False, keep_mask=None):
-    net, s, t, vid2node, _ = build_network(
-        vertex_ids, members, alpha, p, grouped=grouped, keep_mask=keep_mask
-    )
+def _mincut_value(vertex_ids, members, alpha, p, grouped=False):
+    net, s, t, _, _ = build_network(vertex_ids, members, alpha, p, grouped=grouped)
     return net.max_flow(s, t)
 
 
@@ -49,8 +48,8 @@ def test_trivial_cut_capacity_is_h_mu():
 
 def test_alpha_zero_selects_everything():
     members = np.array([[0, 1, 2]])
-    net, s, t, vid2node, _ = build_network([0, 1, 2], members, 0.0, 3)
-    cut = min_cut_vertices(net, s, t, vid2node)
+    net, s, t, vids, _ = build_network([0, 1, 2], members, 0.0, 3)
+    cut = min_cut_vertices(net, s, t, vids)
     assert cut == [0, 1, 2]
 
 
@@ -59,10 +58,10 @@ def test_binary_search_threshold_behaviour():
     from itertools import combinations
 
     members = np.array([list(c) for c in combinations(range(4), 3)])
-    net, s, t, v2n, _ = build_network(range(4), members, 0.9, 3)
-    assert min_cut_vertices(net, s, t, v2n) == [0, 1, 2, 3]
-    net, s, t, v2n, _ = build_network(range(4), members, 1.1, 3)
-    assert min_cut_vertices(net, s, t, v2n) == []
+    net, s, t, vids, _ = build_network(range(4), members, 0.9, 3)
+    assert min_cut_vertices(net, s, t, vids) == [0, 1, 2, 3]
+    net, s, t, vids, _ = build_network(range(4), members, 1.1, 3)
+    assert min_cut_vertices(net, s, t, vids) == []
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.1, 2.0])
@@ -83,7 +82,11 @@ def test_lemma8_mask_shape_and_cap():
     members = np.array([[0, 1, 2], [3, 4, 5]])
     mask = lemma8_keep_mask(members, 6)
     assert mask.shape == (2,)
-    assert lemma8_keep_mask(members, 6, cap=1).all()  # over cap -> keep all
+    # a remote triangle that the lemma drops at the cap is kept one row over it
+    over = np.vstack([np.tile(members[:1], (LEMMA8_CAP, 1)), [[10, 11, 12]]])
+    assert over.shape[0] == 20_001
+    assert not lemma8_keep_mask(over[1:], 13)[-1]
+    assert lemma8_keep_mask(over, 13).all()
 
 
 def test_lemma8_prunes_isolated_instance():
@@ -100,7 +103,7 @@ def test_lemma8_prunes_isolated_instance():
 
 def test_network_node_count():
     members = np.array([[0, 1, 2], [1, 2, 3]])
-    _, s, t, vid2node, n_nodes = build_network([0, 1, 2, 3], members, 1.0, 3)
+    _, s, t, vids, n_nodes = build_network([0, 1, 2, 3], members, 1.0, 3)
     assert n_nodes == 1 + 4 + 2 + 1
     assert s == 0 and t == n_nodes - 1
 
@@ -209,14 +212,14 @@ def test_warm_started_probes_match_fresh_builds(spark, graph, pat):
     grouped = pat.kind != "clique"
     p, n = pat.nv, len(allv)
     lo, hi = 0.0, float(np.unique(members, return_counts=True)[1].max())
-    net, s, t, vid2node, _ = build_network(allv, members, lo, p, grouped=grouped)
+    net, s, t, vids, _ = build_network(allv, members, lo, p, grouped=grouped)
     outcomes = set()
     while hi - lo >= 1.0 / (n * (n - 1)):
         alpha = (lo + hi) / 2.0
         net.set_alpha(alpha)
-        warm = min_cut_vertices(net, s, t, vid2node)
-        fresh_net, fs, ft, fv2n, _ = build_network(allv, members, alpha, p, grouped=grouped)
-        assert warm == min_cut_vertices(fresh_net, fs, ft, fv2n), alpha
+        warm = min_cut_vertices(net, s, t, vids)
+        fresh_net, fs, ft, fvids, _ = build_network(allv, members, alpha, p, grouped=grouped)
+        assert warm == min_cut_vertices(fresh_net, fs, ft, fvids), alpha
         outcomes.add(bool(warm))
         if warm:
             lo = alpha
@@ -227,9 +230,9 @@ def test_warm_started_probes_match_fresh_builds(spark, graph, pat):
 
 def test_set_alpha_below_saved_flow_is_rejected():
     members = np.array([list(c) for c in combinations(range(4), 3)])
-    net, s, t, v2n, _ = build_network(range(4), members, 0.0, 3)
+    net, s, t, vids, _ = build_network(range(4), members, 0.0, 3)
     net.set_alpha(0.5)
-    assert min_cut_vertices(net, s, t, v2n) == [0, 1, 2, 3]
+    assert min_cut_vertices(net, s, t, vids) == [0, 1, 2, 3]
     with pytest.raises(ValueError):
         net.set_alpha(0.25)
 
@@ -344,14 +347,14 @@ def test_csr_network_matches_reference(spark, graph, pat, lemma8):
     p, n = pat.nv, len(allv)
     keep = lemma8_keep_mask(members, n) if lemma8 else None
     lo, hi = Fraction(0), Fraction(int(np.unique(members, return_counts=True)[1].max()))
-    net, s, t, vid2node, n_nodes = build_network(
-        allv, members, lo, p, grouped=grouped, keep_mask=keep)
+    net, s, t, vids, n_nodes = build_network(
+        allv, members if keep is None else members[keep], lo, p, grouped=grouped)
     assert len(net.to) == 2 * (2 * n + 2 * p * (n_nodes - n - 2))
     outcomes = set()
     while hi - lo >= Fraction(1, n * (n - 1)):
         alpha = (lo + hi) / 2
         net.set_alpha(alpha)
-        cut = min_cut_vertices(net, s, t, vid2node)
+        cut = min_cut_vertices(net, s, t, vids)
         assert cut == reference_cut(allv, members, alpha, p, grouped, keep), alpha
         outcomes.add(bool(cut))
         if cut:
@@ -366,8 +369,8 @@ def test_network_capacities_past_int64():
     int64 the capacities are Python ints and the cut is still exact."""
     members = np.array([list(c) for c in combinations(range(4), 3)])
     below = Fraction(1) - Fraction(1, 2**70)
-    net, s, t, v2n, _ = build_network(range(5), members, below, 3)
+    net, s, t, vids, _ = build_network(range(5), members, below, 3)
     assert net.scale == 2**70
-    assert min_cut_vertices(net, s, t, v2n) == [0, 1, 2, 3]
-    net, s, t, v2n, _ = build_network(range(5), members, Fraction(1), 3)
-    assert min_cut_vertices(net, s, t, v2n) == []
+    assert min_cut_vertices(net, s, t, vids) == [0, 1, 2, 3]
+    net, s, t, vids, _ = build_network(range(5), members, Fraction(1), 3)
+    assert min_cut_vertices(net, s, t, vids) == []

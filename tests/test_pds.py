@@ -65,17 +65,6 @@ def test_pds_density_dominates_eds_density(spark):
         assert rho_opt >= rho_eds - 1e-9
 
 
-def test_construct_plus_grouping_used_for_patterns(spark):
-    """Grouped and ungrouped networks give identical PDS results."""
-    pdf = gen.erdos_renyi_pandas(12, 0.4, seed=7)
-    g = edges_from_pandas(spark, pdf)
-    pat = diamond()
-    r_grp = exact_densest(spark, g, pat, grouped=True)
-    r_ung = exact_densest(spark, g, pat, grouped=False)
-    assert r_grp.density == pytest.approx(r_ung.density, abs=1e-9)
-    assert r_grp.vertices == r_ung.vertices
-
-
 def test_k13_diamond_density_matches_paper_closed_form(spark):
     """S-DBLP's CDS is K13; paper Table 5 reports diamond rho = 165."""
     g = edges_from_pandas(spark, gen.clique_pandas(range(13)))

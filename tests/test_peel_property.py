@@ -7,19 +7,40 @@ the dict-and-double-loop heap peel it replaced, and the level-synchronous
 ``core_decompose`` against the heap peel.
 """
 import heapq
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cores.clique_core import (
-    PeelResult,
-    core_decompose,
-    instances_inside,
-    peel_decompose,
-)
+from repro.cores.clique_core import core_decompose, instances_inside, peel_decompose
 from repro.densest.common import exact_density
+
+
+@dataclass
+class PeelResult:
+    """What ``reference_peel`` returns: vertex -> core number as a dict and
+    every vertex set as a list (``as_reference`` puts a peel in this form)."""
+
+    core: dict
+    kmax: int
+    kmax_core: list
+    best_vertices: list
+    n_instances: int
+    order: list
+
+
+def as_reference(pr, members: np.ndarray) -> PeelResult:
+    """A peel's id-aligned arrays, as ``reference_peel``'s dicts and lists."""
+    return PeelResult(
+        core=dict(zip(pr.verts.tolist(), pr.core.tolist())),
+        kmax=pr.kmax,
+        kmax_core=pr.kmax_core.tolist(),
+        best_vertices=pr.best_vertices.tolist(),
+        n_instances=int(members.shape[0]),
+        order=pr.order.tolist(),
+    )
 
 
 def reference_peel(members: np.ndarray, all_vertices) -> PeelResult:
@@ -120,7 +141,8 @@ def test_peel_matches_reference(p, offset):
     member matrices: dense and sparse ones, empty ones, and vertex sets
     with ids in no instance."""
     for members, allv in _seeded_cases(p, offset):
-        assert peel_decompose(members, allv) == reference_peel(members, allv)
+        got = peel_decompose(members, allv)
+        assert as_reference(got, members) == reference_peel(members, allv)
 
 
 @pytest.mark.parametrize("offset", [0, 2**40], ids=["small-ids", "ids-2^40"])
@@ -131,15 +153,19 @@ def test_level_peel_matches_heap_peel(p, offset):
     at most the heap's best residual and at least kmax / p."""
     for members, allv in _seeded_cases(p, offset):
         got, want = core_decompose(members, allv), peel_decompose(members, allv)
-        assert (got.core, got.kmax, got.kmax_core) == (want.core, want.kmax, want.kmax_core)
-        assert got.n_instances == want.n_instances
+        for name in ("verts", "core", "kmax_core", "best_vertices"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype == np.int64
+        for name in ("verts", "core", "kmax_core"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert got.kmax == want.kmax
         rho = exact_density(members, got.best_vertices)
         assert rho <= exact_density(members, want.best_vertices)
         assert rho >= Fraction(got.kmax, p)
-        assert bool(got.best_vertices) == bool(allv)
+        assert bool(got.best_vertices.size) == bool(allv)
         # the best set is a (k,Psi)-core: every core number in it is >= k
-        k = min((got.core[v] for v in got.best_vertices), default=0)
-        assert got.best_vertices == sorted(v for v, c in got.core.items() if c >= k)
+        in_best = got.core[np.searchsorted(got.verts, got.best_vertices)]
+        k = int(in_best.min()) if in_best.size else 0
+        np.testing.assert_array_equal(got.best_vertices, got.verts[got.core >= k])
 
 
 def test_peel_rejects_member_outside_vertex_set():
@@ -171,9 +197,9 @@ def test_kmax_core_is_valid_core(members_list):
     members = _mk(members_list)
     allv = list(range(12))
     pr = peel_decompose(members, allv)
-    core_set = {v for v, c in pr.core.items() if c >= pr.kmax}
-    inside = members[instances_inside(members, core_set)] if members.size else members
-    cdeg = {v: 0 for v in core_set}
+    core_ids = pr.verts[pr.core >= pr.kmax]
+    inside = members[instances_inside(members, core_ids)] if members.size else members
+    cdeg = {v: 0 for v in core_ids.tolist()}
     for row in inside:
         for v in row:
             cdeg[int(v)] += 1
@@ -191,7 +217,7 @@ def test_kmax_is_maximal(members_list):
     # iterative pruning at k must annihilate the graph
     alive = set(range(12))
     while True:
-        inside = members[instances_inside(members, alive)] if members.size else members
+        inside = members[instances_inside(members, list(alive))] if members.size else members
         cdeg = {v: 0 for v in alive}
         for row in inside:
             for v in row:
@@ -214,7 +240,7 @@ def test_rho_prime_is_max_residual_density(members_list):
     # recompute residual densities from the recorded order
     best = exact_density(members, allv)
     remaining = list(allv)
-    order = pr.order
+    order = pr.order.tolist()
     for v in order[:-1]:
         remaining.remove(v)
         best = max(best, exact_density(members, remaining))
@@ -230,7 +256,7 @@ def test_core_numbers_bounded_by_degree(members_list):
     for row in members:
         for v in row:
             cdeg[int(v)] += 1
-    for v, c in pr.core.items():
+    for v, c in zip(pr.verts.tolist(), pr.core.tolist()):
         assert c <= cdeg[v]
 
 
@@ -239,6 +265,6 @@ def test_core_numbers_bounded_by_degree(members_list):
 def test_core_nesting(members_list, k):
     members = _mk(members_list)
     pr = peel_decompose(members, list(range(12)))
-    hi = {v for v, c in pr.core.items() if c >= k + 1}
-    lo = {v for v, c in pr.core.items() if c >= k}
+    hi = set(pr.verts[pr.core >= k + 1].tolist())
+    lo = set(pr.verts[pr.core >= k].tolist())
     assert hi <= lo
