@@ -3,8 +3,8 @@
 For each small dataset: rho_opt(Psi) from CoreExact, and rho(EDS, Psi) —
 the Psi-density *of the edge-densest subgraph* — for
 Psi in {edge, triangle, 4-clique, 5-clique, 6-clique, 2-star, diamond}.
-rho(EDS, Psi) counts only the instances inside G[EDS], so Psi is listed
-on that induced subgraph, not on the whole graph.
+G[EDS] is induced, so its instances are exactly G's instances whose
+members all lie in EDS: rho(EDS, Psi) is read off G's member matrix.
 
 Also records PeelApp vs CoreApp timings per cell so EXPERIMENTS.md can
 report the approximation speedups and actual ratios (Fig. 11 claims).
@@ -21,7 +21,6 @@ from repro.densest.core_exact import core_exact
 from repro.densest.coreapp_dsd import core_app
 from repro.densest.peel import peel_app
 from repro.graph import datasets as ds
-from repro.graph.ops import induced_subgraph
 from repro.patterns import clique, diamond, star
 
 DEFAULT_PATTERNS = (
@@ -39,16 +38,14 @@ def run(
     for name in names:
         g = ds.dataset(spark, name).localCheckpoint(eager=True)
         eds = core_exact(spark, g, clique(2))
-        eds_v = spark.createDataFrame(pd.DataFrame({"v": eds.vertices}), "v long")
-        eds_g = induced_subgraph(g, eds_v).localCheckpoint(eager=True)
         for pat in patterns:
-            _, eds_members = gather(spark, eds_g, pat)
+            _, members = gather(spark, g, pat)
             res = core_exact(spark, g, pat)
             row = {
                 "dataset": name,
                 "pattern": pat.name,
                 "rho_opt": res.density,
-                "rho_eds": float(exact_density(eds_members, eds.vertices)),
+                "rho_eds": float(exact_density(members, eds.vertices)),
                 "cds_size": res.size,
                 "coreexact_s": res.timings["total"],
             }

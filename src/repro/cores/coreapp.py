@@ -50,12 +50,11 @@ def kmax_core_coreapp(
     with clock.phase("enumerate"):
         edge_arr = edge_array(edges)
         if not on_driver:
-            _, all_members = gather(spark, edges, pattern, edge_arr=edge_arr)
+            vs, all_members = gather(spark, edges, pattern, edge_arr=edge_arr)
     with clock.phase("decompose"):
         if on_driver:
             vs, gamma = gamma_upper_bounds(edge_arr, pattern.h)
         else:  # gamma is the exact pattern degree, 0 in no instance
-            vs = np.unique(edge_arr)
             gamma = np.bincount(np.searchsorted(vs, all_members.ravel()),
                                 minlength=len(vs)).astype(np.float64)
         rank = np.lexsort((vs, -gamma))  # gamma desc, then v asc

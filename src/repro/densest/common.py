@@ -40,8 +40,8 @@ def gather(
 
     The vertex ids are a sorted int64 array, read off the edge array (pass
     ``edge_arr`` when the caller already collected it). The edge array is
-    collected first and handed to ``pattern_instances``, so no lister
-    collects it again. For Psi = edge the edge array is the member
+    collected first and handed to ``pattern_instances``, which lists from
+    it. For Psi = edge the edge array is the member
     matrix, and an empty one has no instance, so neither lists anything.
     """
     if edge_arr is None:
@@ -51,7 +51,7 @@ def gather(
         return allv, edge_arr
     if not len(edge_arr):
         return allv, np.empty((0, pattern.nv), np.int64)
-    return allv, pattern_instances(spark, edges, pattern, edge_arr=edge_arr)
+    return allv, pattern_instances(spark, edge_arr, pattern)
 
 
 def exact_density(members: np.ndarray, vertex_ids) -> Fraction:

@@ -3,13 +3,12 @@
 A graph is a Spark DataFrame with two long columns ``src`` and ``dst``
 holding each undirected edge exactly once in canonical order
 (``src < dst``), with no self-loops and no duplicates. Vertex ids are
-arbitrary longs; the vertex set is implicitly the set of edge endpoints
-unless an explicit vertex DataFrame is supplied.
+arbitrary longs; the vertex set is the set of edge endpoints.
 
-All transformations here are pure DataFrame dataflow (Catalyst); the
-driver-side helpers are the edge collect used by the in-memory top-down
-core searches and the array connected components that CoreExact and
-Table 2 run once a graph or core is on the driver.
+On Spark, this module only builds and canonicalizes that DataFrame.
+Everything after it runs on the driver: ``edge_array`` collects the edges
+once for the listers and peels, and ``components`` finds the connected
+components that CoreExact and Table 2 need.
 """
 from __future__ import annotations
 
@@ -35,22 +34,6 @@ def normalize_edges(edges: DataFrame) -> DataFrame:
         edges.select(lo, hi)
         .where(F.col("src") != F.col("dst"))
         .distinct()
-    )
-
-
-def symmetrize(edges: DataFrame) -> DataFrame:
-    """Both directions of every edge: columns (u, v)."""
-    fwd = edges.select(F.col("src").alias("u"), F.col("dst").alias("v"))
-    rev = edges.select(F.col("dst").alias("u"), F.col("src").alias("v"))
-    return fwd.unionByName(rev)
-
-
-def induced_subgraph(edges: DataFrame, verts: DataFrame) -> DataFrame:
-    """Edges with BOTH endpoints in ``verts`` (a DataFrame with column v)."""
-    v1 = verts.select(F.col("v").alias("src"))
-    v2 = verts.select(F.col("v").alias("dst"))
-    return edges.join(v1, "src", "left_semi").join(v2, "dst", "left_semi").select(
-        "src", "dst"
     )
 
 

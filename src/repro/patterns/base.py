@@ -3,7 +3,7 @@
 A pattern Psi is a small connected simple graph. ``Pattern`` carries
 the data every DSD algorithm needs: the vertex count |V_Psi| (flow
 capacities use it), a pattern edge list on labels 0..nv-1 (the generic
-matcher uses it), and a ``kind`` tag that routes to a specialised
+driver matcher uses it), and a ``kind`` tag that routes to a specialised
 lister when one exists (cliques, stars, the C4 "diamond", and the
 K4-minus-an-edge "2-triangle" from the paper's Figure 7).
 
@@ -21,7 +21,8 @@ class Pattern:
     name: str
     nv: int
     pattern_edges: tuple  # tuple of (i, j) with i < j on labels 0..nv-1
-    # specialised lister: clique | star | diamond | two_triangle; else generic
+    # specialised lister: clique | star | diamond | two_triangle; else the
+    # generic driver matcher
     kind: str = "generic"
     h: int = 0  # clique size when kind == "clique"
 
@@ -78,13 +79,24 @@ def two_triangle() -> Pattern:
 
 
 def generic(name: str, nv: int, pattern_edges) -> Pattern:
-    """Arbitrary connected pattern, matched by the generic join matcher."""
+    """Arbitrary connected pattern, listed by the generic driver matcher.
+
+    Rejects a pattern with no edge, an isolated label or more than one
+    component: the matcher grows every instance along pattern edges.
+    """
     es = tuple(sorted((min(a, b), max(a, b)) for a, b in pattern_edges))
+    if not es:
+        raise ValueError("a pattern needs at least one edge")
     if len(set(es)) != len(es):
         raise ValueError("duplicate pattern edges")
     for a, b in es:
         if not (0 <= a < b < nv):
             raise ValueError("pattern edge endpoints out of range")
+    reached = {0}
+    for _ in range(nv):
+        reached |= {v for e in es if reached & set(e) for v in e}
+    if len(reached) < nv:
+        raise ValueError("pattern is not connected")
     return Pattern(name, nv, es, kind="generic")
 
 

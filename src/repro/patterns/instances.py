@@ -11,11 +11,13 @@ exactly once as a tuple ``v1 < ... < vh`` in rank order with all C(h,2)
 oriented edges present. Level h extends each level-(h-1) tuple with the
 out-neighbours of its last vertex, then tests the h-2 other memberships.
 
+Every lister takes G's collected (m, 2) canonical edge array.
+
 * ``clique_instances`` is the Spark plan. It orients the edge array on
-  the driver (collecting it unless the caller passes it), ships the DAG
-  as one checkpointed DataFrame, and runs the levels as one SQL
-  statement: a join per extension, a semi-join per membership test.
-* ``clique_members`` is the same listing over a driver edge array.
+  the driver, ships the DAG as one checkpointed DataFrame, and runs the
+  levels as one SQL statement: a join per extension, a semi-join per
+  membership test.
+* ``clique_members`` is the same listing on the driver.
 
 The driver listers work on one rank-space CSR of the edge array
 (``_csr``) with two steps: ``_extend`` grows every row by the neighbours
@@ -24,18 +26,17 @@ of one of its vertices, and ``_is_edge`` tests an edge with a
 stars (pairs within a neighbour list), K4-e (pairs of common neighbours
 of an edge) and C4 (pairs of 2-paths with the same endpoints; Chiba &
 Nishizeki, SIAM J. Comput. 1985; ESCAPE, Pinar et al., WWW'17), each
-instance once, in a canonical member order. Any other Psi goes to the
-generic Spark matcher: a join per pattern vertex, deduplicated on the
-sorted edge set (the DataFrame rendition of the subgraph-matching
-substrate the paper takes from [38]).
+instance once, in a canonical member order. Any other Psi goes to
+``generic_members``, the subgraph-matching substrate the paper takes
+from [38]: one extension per pattern vertex, deduplicated on the sorted
+edge set.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, functions as F
+from pyspark.sql import DataFrame, SparkSession
 
-from repro.graph.ops import edge_array, symmetrize
 from repro.patterns.base import Pattern
 
 # DAG rows per partition: 64 MiB of (long, long), Spark's default advisory
@@ -79,20 +80,15 @@ def _levels_sql(h: int) -> str:
     return f"SELECT {cols} FROM {{dag}} x2 " + " ".join(joins)
 
 
-def clique_instances(
-    spark: SparkSession, edges: DataFrame, h: int, edge_arr: np.ndarray | None = None
-) -> DataFrame:
+def clique_instances(spark: SparkSession, edge_arr: np.ndarray, h: int) -> DataFrame:
     """All h-clique instances, h >= 2 — columns v1..vh in rank order.
 
     Each instance appears exactly once, because tuples follow the
-    orientation's total order. The orientation runs on ``edge_arr``,
-    ``edges`` collected to the driver (pass it when the caller already
-    holds it; either way the rows are the same).
+    orientation's total order. The orientation runs on the driver, on the
+    (m, 2) canonical edge array ``edge_arr``.
     """
     if h < 2:
         raise ValueError("h must be >= 2")
-    if edge_arr is None:
-        edge_arr = edge_array(edges)
     arcs = orient(edge_arr)
     dag = spark.createDataFrame(pd.DataFrame(arcs, columns=["a", "b"]), "a long, b long")
     # checkpointed, or each level's broadcast re-reads the pandas rows
@@ -213,7 +209,7 @@ def two_triangle_members(edge_arr: np.ndarray) -> np.ndarray:
 
 def _bfs_order(pattern: Pattern):
     """Order pattern labels so each (after the first two, which form an
-    edge) is pattern-adjacent to an earlier one; returns (order, pos)."""
+    edge) is pattern-adjacent to an earlier one; returns (order, pos, nbrs)."""
     nbrs = {i: set() for i in range(pattern.nv)}
     for a, b in pattern.pattern_edges:
         nbrs[a].add(b)
@@ -225,69 +221,52 @@ def _bfs_order(pattern: Pattern):
     return order, pos, nbrs
 
 
-def _generic_inst(edges: DataFrame, pattern: Pattern) -> DataFrame:
-    """Join-based subgraph matching with canonical edge-set dedup.
+def generic_members(edge_arr: np.ndarray, pattern: Pattern) -> np.ndarray:
+    """All instances of any connected Psi — (count, p) int64 sorted member rows.
 
-    Members are sorted, so two instances on one vertex set (two C4s, say)
-    give equal rows; the dedup key is the edge set, not the row."""
+    Subgraph matching over the symmetric CSR: each next pattern label (in
+    ``_bfs_order``) extends every partial embedding by the neighbours of its
+    earliest matched pattern neighbour, its other back-edges are tested, and
+    a vertex already in the row is dropped. Every instance is then matched
+    once per automorphism of Psi; the rows are deduplicated on their sorted
+    rank-space edge keys, so two instances on one vertex set (K4's three
+    C4s) stay two rows.
+    """
     order, pos, nbrs = _bfs_order(pattern)
-    adj = symmetrize(edges).localCheckpoint(eager=True)
-    # m{k} = image of pattern label order[k]
-    cur = adj.select(F.col("u").alias("m0"), F.col("v").alias("m1"))
+    vs, keys, start, arcs = _symmetric(edge_arr)
+    n = len(vs)
+    cur = arcs  # column k is the image of pattern label order[k]
     for k in range(2, pattern.nv):
-        lab = order[k]
-        back = sorted(pos[j] for j in nbrs[lab] if pos[j] < k)
-        first, rest = back[0], back[1:]
-        ext = adj.select(F.col("u").alias(f"m{first}"), F.col("v").alias(f"m{k}"))
-        cur = cur.join(ext, f"m{first}")
-        for j in rest:
-            chk = adj.select(F.col("u").alias(f"m{j}"), F.col("v").alias(f"m{k}"))
-            cur = cur.join(chk, [f"m{j}", f"m{k}"], "left_semi")
-        for j in range(k):
-            cur = cur.where(F.col(f"m{j}") != F.col(f"m{k}"))
-        cur = cur.localCheckpoint(eager=True)
-    # canonical edge-set identity: the sorted (min, max) endpoint pairs
-    eid = [
-        F.struct(
-            F.least(f"m{pos[a]}", f"m{pos[b]}").alias("lo"),
-            F.greatest(f"m{pos[a]}", f"m{pos[b]}").alias("hi"),
-        )
-        for a, b in pattern.pattern_edges
-    ]
-    cur = cur.withColumn("ekey", F.sort_array(F.array(*eid)))
-    cur = cur.withColumn(
-        "members", F.sort_array(F.array(*[f"m{k}" for k in range(pattern.nv)]))
-    )
-    uniq = cur.groupBy("ekey").agg(F.first("members").alias("members"))
-    return uniq.select(
-        *[F.element_at("members", i + 1).alias(f"v{i + 1}") for i in range(pattern.nv)]
-    )
+        back = sorted(pos[j] for j in nbrs[order[k]] if pos[j] < k)
+        cur, w = _extend(cur, cur[:, back[0]], start, arcs[:, 1])
+        keep = (cur != w[:, None]).all(axis=1)
+        for j in back[1:]:
+            keep &= _is_edge(keys, n, cur[:, j], w)
+        cur = np.column_stack([cur[keep], w[keep]])
+    a, b = np.array([[pos[x], pos[y]] for x, y in pattern.pattern_edges]).T
+    lo, hi = cur[:, a], cur[:, b]
+    ekey = np.sort(np.minimum(lo, hi) * n + np.maximum(lo, hi), axis=1)  # the edge set
+    o = np.lexsort(ekey.T)
+    first = np.diff(ekey[o], axis=0, prepend=-1).any(axis=1)  # one row per edge set
+    return vs[np.sort(cur[o[first]], axis=1)]
 
 
-def pattern_instances(
-    spark: SparkSession,
-    edges: DataFrame,
-    pattern: Pattern,
-    edge_arr: np.ndarray | None = None,
-) -> np.ndarray:
+def pattern_instances(spark: SparkSession, edge_arr: np.ndarray, pattern: Pattern) -> np.ndarray:
     """All instances of ``pattern`` in G — the (count, p) int64 member matrix.
 
-    ``edge_arr`` is ``edges`` already collected to the driver; the listers
-    use it instead of collecting again. The rows are the same either way.
-    Cliques run the Spark plan and any other non-specialised Psi the
-    generic matcher, each collected here.
+    ``edge_arr`` is G's (m, 2) canonical edge array on the driver. Cliques
+    run the Spark plan, collected here; every other Psi is listed from the
+    array on the driver.
     """
-    if pattern.kind not in ("clique", "star", "diamond", "two_triangle"):
-        return collect_instances(_generic_inst(edges, pattern))
-    if edge_arr is None:
-        edge_arr = edge_array(edges)
     if pattern.kind == "clique":
-        return collect_instances(clique_instances(spark, edges, pattern.h, edge_arr=edge_arr))
+        return collect_instances(clique_instances(spark, edge_arr, pattern.h))
     if pattern.kind == "star":
         return star_members(edge_arr, pattern.nv - 1)
     if pattern.kind == "diamond":
         return diamond_members(edge_arr)
-    return two_triangle_members(edge_arr)
+    if pattern.kind == "two_triangle":
+        return two_triangle_members(edge_arr)
+    return generic_members(edge_arr, pattern)
 
 
 def collect_instances(inst: DataFrame) -> np.ndarray:

@@ -11,7 +11,7 @@ from repro.densest.common import gather
 from repro.graph import generators as gen
 from repro.graph.ops import edge_array, edges_from_pandas
 from repro.oracle import assert_equivalent
-from repro.patterns import clique, diamond, star, two_triangle
+from repro.patterns import clique, diamond, generic, star, two_triangle
 from repro.patterns.instances import (
     clique_instances,
     clique_members,
@@ -37,7 +37,7 @@ def list_cliques(spark, g, h: int, lister: str) -> np.ndarray:
     """(count, h) member matrix of g's h-cliques from either lister."""
     if lister == "driver":
         return clique_members(edge_array(g), h)
-    return pattern_instances(spark, g, clique(h))
+    return pattern_instances(spark, edge_array(g), clique(h))
 
 
 def count_cliques(spark, g, h: int, lister: str) -> int:
@@ -109,14 +109,14 @@ def test_path_graph_has_only_edges(spark):
 def test_h_below_2_rejected(spark, rand_graph):
     g, pdf = rand_graph
     with pytest.raises(ValueError):
-        clique_instances(spark, g, 1)
+        clique_instances(spark, edge_array(g), 1)
     with pytest.raises(ValueError):
         clique_members(pdf[["src", "dst"]].to_numpy(), 1)
 
 
 def test_h2_is_edges(spark, rand_graph):
     g, pdf = rand_graph
-    got = clique_instances(spark, g, 2).toPandas()
+    got = clique_instances(spark, edge_array(g), 2).toPandas()
     got = set(map(tuple, got[["v1", "v2"]].to_numpy()))
     # oriented by (deg, id) — compare as unordered pairs
     want = {frozenset(t) for t in zip(pdf["src"], pdf["dst"])}
@@ -131,15 +131,6 @@ def test_clique_instances_vs_bruteforce(spark, rand_graph, h, lister):
     want_sets = {frozenset(c) for c in brute_cliques(pdf, h)}
     assert got_sets == want_sets
     assert len(got_sets) == len(got)  # no clique listed twice
-
-
-@pytest.mark.parametrize("h", [3, 4, 5])
-def test_clique_instances_same_rows_with_edge_array(spark, h):
-    """Passing the edge array only saves a collect: same rows, same order."""
-    g = edges_from_pandas(spark, gen.erdos_renyi_pandas(25, 0.45, seed=42))
-    own = clique_instances(spark, g, h).collect()
-    held = clique_instances(spark, g, h, edge_arr=edge_array(g)).collect()
-    assert own == held and len(own) > 0
 
 
 def gather_jobs(spark, g, pattern) -> tuple:
@@ -171,13 +162,16 @@ def test_gather_clique_spark_jobs(spark, rand_graph):
 
 def test_gather_edge_spark_jobs(spark, rand_graph):
     """For Psi = edge the collected edge array is the member matrix, and
-    2-star, C4 and K4-e are listed from it on the driver: in each the edge
-    collect is the one Spark job, with no listing after it."""
+    2-star, C4, K4-e and any generic Psi are listed from it on the driver:
+    in each the edge collect is the one Spark job, with no listing after
+    it."""
     g, pdf = rand_graph
     members, jobs = gather_jobs(spark, g, clique(2))
     assert jobs == 1
     assert sorted(map(tuple, members.tolist())) == sorted(zip(pdf["src"], pdf["dst"]))
-    for pat in (star(2), diamond(), two_triangle()):
+    paw = generic("paw", 4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    c4 = generic("c4", 4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    for pat in (star(2), diamond(), two_triangle(), paw, c4):
         members, jobs = gather_jobs(spark, g, pat)
         assert jobs == 1, pat.name
         assert members.shape[1] == pat.nv and len(members) > 0, pat.name
@@ -221,7 +215,7 @@ def test_clique_degrees_vs_bruteforce(spark, rand_graph, h):
 def test_triangle_count_oracle(spark, rand_graph):
     """DuckDB SQL triangle count == Spark enumeration count."""
     g, pdf = rand_graph
-    got = clique_instances(spark, g, 3).agg(F.count("*").alias("n_tri"))
+    got = clique_instances(spark, edge_array(g), 3).agg(F.count("*").alias("n_tri"))
     sql = """
         SELECT COUNT(*) AS n_tri
         FROM e a JOIN e b ON a.dst = b.src JOIN e c

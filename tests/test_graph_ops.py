@@ -1,4 +1,4 @@
-"""Graph substrate: canonical edges, degrees, induced subgraphs, CCs."""
+"""Graph substrate: canonical edges, degrees, CCs."""
 import networkx as nx
 import numpy as np
 import pandas as pd
@@ -9,9 +9,7 @@ from repro.graph.ops import (
     components,
     edge_array,
     edges_from_pandas,
-    induced_subgraph,
     normalize_edges,
-    symmetrize,
 )
 from repro.oracle import assert_equivalent
 from repro.patterns.instances import clique_instances, collect_instances
@@ -40,7 +38,7 @@ def test_edges_from_empty_frame(spark):
     g = edges_from_pandas(spark, pd.DataFrame({"src": [], "dst": []}))
     assert g.count() == 0
     assert dict(g.dtypes) == {"src": "bigint", "dst": "bigint"}
-    tri = collect_instances(clique_instances(spark, g, 3))
+    tri = collect_instances(clique_instances(spark, edge_array(g), 3))
     assert tri.shape == (0, 3) and tri.dtype == np.int64
 
 
@@ -65,18 +63,6 @@ def test_degrees_oracle(spark, tri_path):
         ) GROUP BY v
     """
     assert_equivalent(got, sql, e=pdf)
-
-
-def test_symmetrize_doubles(tri_path):
-    g, _ = tri_path
-    assert symmetrize(g).count() == 2 * g.count()
-
-
-def test_induced_subgraph(tri_path, spark):
-    g, _ = tri_path
-    keep = spark.createDataFrame(pd.DataFrame({"v": [1, 2, 3, 4]}))
-    sub = induced_subgraph(g, keep).toPandas().sort_values(["src", "dst"])
-    assert sub.values.tolist() == [[1, 2], [1, 3], [2, 3], [3, 4]]
 
 
 def test_counts(tri_path):

@@ -119,6 +119,7 @@ def test_gamma_upper_bounds_h3_dominates_clique_core(spark):
     """gamma(v) = C(core(v), h-1) bounds the clique-CORE number — the
     invariant CoreApp's stopping criterion needs (it does NOT bound the
     clique-degree, despite the paper's prose; see its docstring in coreapp.py)."""
+    from repro.graph.ops import edge_array
     from repro.patterns import triangle
     from repro.patterns.instances import pattern_instances
 
@@ -126,7 +127,7 @@ def test_gamma_upper_bounds_h3_dominates_clique_core(spark):
     g = edges_from_pandas(spark, pdf)
     vs, g3 = gamma_upper_bounds(pdf.to_numpy(np.int64), 3)
     gamma = dict(zip(vs.tolist(), g3.tolist()))
-    members = pattern_instances(spark, g, triangle())
+    members = pattern_instances(spark, edge_array(g), triangle())
     pr = peel_decompose(members, sorted(set(pdf["src"]) | set(pdf["dst"])))
     for v, c in zip(pr.verts.tolist(), pr.core.tolist()):
         assert gamma[v] >= c - 1e-9, (v, gamma[v], c)

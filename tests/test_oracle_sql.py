@@ -5,7 +5,7 @@ import pandas as pd
 import pytest
 
 from repro.graph import generators as gen
-from repro.graph.ops import edge_array, edges_from_pandas, symmetrize
+from repro.graph.ops import edge_array, edges_from_pandas
 from repro.oracle import assert_equivalent
 from repro.patterns import star, two_triangle
 from tests.test_patterns import count_instances, list_instances, member_degrees
@@ -51,13 +51,6 @@ def test_two_star_degree_oracle(spark, rand):
                             FROM sym s JOIN deg d2 ON s.v = d2.v
                             WHERE s.u = d1.v) > 0
     """
-    assert_equivalent(got, sql, e=pdf)
-
-
-def test_symmetrize_oracle(spark, rand):
-    g, pdf = rand
-    got = symmetrize(g)
-    sql = "SELECT src AS u, dst AS v FROM e UNION ALL SELECT dst AS u, src AS v FROM e"
     assert_equivalent(got, sql, e=pdf)
 
 
