@@ -55,7 +55,6 @@ from repro.phases import PhaseClock
 
 def core_exact(spark: SparkSession, edges: DataFrame, pattern: Pattern) -> DSDResult:
     clock = PhaseClock()
-    grouped = pattern.kind != "clique"  # construct+ for non-clique patterns
     p = pattern.nv
 
     with clock.phase("enumerate"):
@@ -133,8 +132,7 @@ def core_exact(spark: SparkSession, edges: DataFrame, pattern: Pattern) -> DSDRe
             mem_c = members[instances_inside(members, cset)]
             keep = lemma8_keep_mask(mem_c, cset.size)
             stats["lemma8_pruned"] += int(keep.size - keep.sum())
-            net, s, t, vids, n_nodes = build_network(cset, mem_c[keep], alpha, p,
-                                                     grouped=grouped)
+            net, s, t, vids, n_nodes = build_network(cset, mem_c[keep], alpha, p)
         stats["network_builds"] += 1
         while True:
             with clock.phase("flow"):

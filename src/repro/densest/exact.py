@@ -42,8 +42,7 @@ def exact_densest(spark: SparkSession, edges: DataFrame, pattern: Pattern) -> DS
         alpha = exact_density(members, best)
     if solvable:
         with clock.phase("build"):
-            net, s, t, vids, n_nodes = build_network(
-                allv, members, alpha, pattern.nv, grouped=pattern.kind != "clique")
+            net, s, t, vids, n_nodes = build_network(allv, members, alpha, pattern.nv)
         stats["network_builds"] = 1
         while True:
             with clock.phase("flow"):

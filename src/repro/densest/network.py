@@ -3,15 +3,17 @@
 ``build_network`` mirrors Algorithm 1 lines 5-12: source -> vertex arcs
 with capacity deg(v, Psi), vertex -> sink arcs with capacity
 alpha * |V_Psi|, and per-instance gadgets (v -> psi cap 1,
-psi -> v cap |V_Psi| - 1). ``grouped=True`` is construct+ (Algorithm 7):
+psi -> v cap |V_Psi| - 1), always in the construct+ form of Algorithm 7:
 instances sharing a vertex set collapse into one group node g with
 v -> g cap |g| and g -> v cap |g| * (|V_Psi| - 1). Lemma 12 guarantees
-identical min-cut capacity (tested). The four arc blocks are numpy
-arrays, laid out as CSR by ``repro.flow.dinic.Dinic`` in one pass; no
-arc is added one at a time. Vertex node i + 1 is the i-th id of the
-sorted id array the network is built on, so the cut side maps back to ids
-by one mask. Every row of the member matrix given gets an instance node:
-Lemma-8 pruning (``lemma8_keep_mask``) is a row mask the caller applies.
+identical min-cut capacity (tested). An h-vertex set holds at most one
+h-clique, so for cliques every group is one instance and the network is
+Algorithm 1's. The four arc blocks are numpy arrays, laid out as CSR by
+``repro.flow.dinic.Dinic`` in one pass; no arc is added one at a time.
+Vertex node i + 1 is the i-th id of the sorted id array the network is
+built on, so the cut side maps back to ids by one mask. Every vertex set
+of the member matrix given gets a group node: Lemma-8 pruning
+(``lemma8_keep_mask``) is a row mask the caller applies.
 
 alpha is a ``Fraction`` a/b (a float is converted exactly), and every
 capacity is multiplied by the network's ``scale``, a multiple of b, so
@@ -40,12 +42,13 @@ same cut.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 
 import numpy as np
 
+from repro.cores.clique_core import _vertex_index
 from repro.flow.dinic import Dinic
+from repro.patterns.instances import _extend
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -94,25 +97,26 @@ class DensityNetwork(Dinic):
 def group_instances(members: np.ndarray) -> tuple:
     """construct+ grouping: unique member-sets with multiplicities.
 
-    Returns (unique_members, counts) where unique_members is
-    (num_groups, p) with rows sorted ascending per-row.
+    Returns (unique_members, counts): unique_members is (num_groups, p),
+    each row sorted ascending, the rows in lexicographic order. One
+    ``np.lexsort`` of the row-sorted matrix and a neighbour diff find them.
     """
-    if members.shape[0] == 0:
-        return members, np.zeros(0, dtype=np.int64)
     rows = np.sort(members, axis=1)
-    uniq, counts = np.unique(rows, axis=0, return_counts=True)
-    return uniq, counts
+    rows = rows[np.lexsort(rows.T[::-1])]  # first column primary
+    new = np.ones(len(rows), dtype=bool)  # group starts
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[new], np.diff(np.append(np.flatnonzero(new), len(rows)))
 
 
-def build_network(vertex_ids, members: np.ndarray, alpha, p: int, grouped: bool = False):
-    """Build the Algorithm-1 / construct+ flow network at ``alpha``.
+def build_network(vertex_ids, members: np.ndarray, alpha, p: int):
+    """Build the construct+ flow network (Algorithm 7) at ``alpha``.
 
     ``alpha``:      a ``Fraction`` (or anything ``Fraction`` converts
                     exactly); capacities are scaled by its denominator.
     ``vertex_ids``: the sorted distinct ids of the (sub)graph the network
                     is built on.
     ``members``:    instance member matrix restricted to that subgraph,
-                    one instance node per row. Source capacities are the
+                    one group node per vertex set. Source capacities are the
                     degrees over these rows, so a Lemma-8-pruned matrix
                     gets the reduced clique-degrees of the Lemma 8 proof.
 
@@ -123,12 +127,7 @@ def build_network(vertex_ids, members: np.ndarray, alpha, p: int, grouped: bool 
     """
     vids = np.asarray(vertex_ids, dtype=np.int64)
     nv = len(vids)
-
-    if grouped:
-        gm, gcount = group_instances(members)
-    else:
-        gm, gcount = members, np.ones(members.shape[0], dtype=np.int64)
-
+    gm, gcount = group_instances(members)
     ng = gm.shape[0]
     s = 0
     t = nv + ng + 1
@@ -170,7 +169,9 @@ def min_cut_vertices(net: DensityNetwork, s: int, t: int, vids: np.ndarray) -> l
     return cut
 
 
-# Lemma 8 runs only on at most this many instances (see lemma8_keep_mask)
+# Lemma 8 runs only on at most this many instances (see lemma8_keep_mask):
+# the candidates' expansion can reach |Lambda|^2 (row, instance) pairs, and
+# the prune is optional (with the defaults it removes nothing).
 LEMMA8_CAP = 20_000
 
 
@@ -184,32 +185,27 @@ def lemma8_keep_mask(members: np.ndarray, n_vertices: int) -> np.ndarray:
     skipping it never affects correctness).
 
     mu - mu' = |U_{v in psi} I(v)|, with I(v) the instances containing v,
-    is counted by inclusion-exclusion over the subsets of psi:
-    sum over nonempty S of (-1)^(|S|+1) * #{instances containing S}. The
-    counts come from one ``np.unique`` per subset size over integer keys
-    of locally renumbered ids, so the cost is O(|Lambda| 2^p log|Lambda|).
+    so psi is dropped iff |U I(v)| * n < mu * p. The union holds every
+    I(v), so only a row whose every member has deg(v) * n < mu * p can be
+    dropped; the degrees are one ``bincount``. For those candidate rows
+    alone the union is counted exactly: each member is expanded through
+    the vertex -> instance CSR, and the distinct (row, instance) pairs are
+    counted. The cost is O(|Lambda| p + the candidates' summed degrees).
     """
     m = members.shape[0]
+    keep = np.ones(m, dtype=bool)
     if m == 0 or m > LEMMA8_CAP:
-        return np.ones(m, dtype=bool)
+        return keep
     p = members.shape[1]
     if n_vertices <= p:
-        return np.ones(m, dtype=bool)
-    _, local = np.unique(members, return_inverse=True)
-    local = np.sort(local.reshape(m, p).astype(np.int64), axis=1)
-    n_loc = int(local.max()) + 1
-    touched = np.zeros(m, dtype=np.int64)
-    for k in range(1, p + 1):
-        # every k-subset of every instance, one row each, sorted within
-        sub = local[:, list(combinations(range(p), k))].reshape(-1, k)
-        if n_loc**k <= np.iinfo(np.int64).max:
-            keys = np.zeros(sub.shape[0], dtype=np.int64)
-            for j in range(k):
-                keys = keys * n_loc + sub[:, j]
-            _, inv, cnt = np.unique(keys, return_inverse=True, return_counts=True)
-        else:
-            _, inv, cnt = np.unique(sub, axis=0, return_inverse=True, return_counts=True)
-        containing = cnt[inv.reshape(-1)].reshape(m, -1).sum(axis=1)
-        touched += containing if k % 2 else -containing
-    mu_prime = m - touched
-    return mu_prime * n_vertices <= m * (n_vertices - p)
+        return keep
+    ids, inv = np.unique(members, return_inverse=True)
+    rows = inv.reshape(m, p)
+    cand = np.flatnonzero((np.bincount(rows.ravel())[rows] * n_vertices < m * p).all(axis=1))
+    if cand.size == 0:
+        return keep
+    _, _, slot, _, start = _vertex_index(members, ids)
+    row, w = _extend(np.repeat(cand, p), rows[cand].ravel(), start, slot)
+    mu_prime = m - np.bincount(np.unique(row * m + w // p) // m, minlength=m)[cand]
+    keep[cand] = mu_prime * n_vertices <= m * (n_vertices - p)
+    return keep

@@ -1,4 +1,4 @@
-"""Brute-force densest subgraph by subset enumeration — TEST ORACLE ONLY.
+"""Brute-force densest subgraph by subset enumeration, the tests' oracle.
 
 Enumerates every non-empty vertex subset (n <= 16 guard) and returns
 the maximum-density one. Used to certify Exact / CoreExact on small

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pandas as pd
 import pytest
 
-from repro.densest.bruteforce import brute_force_densest
 from repro.densest.common import exact_density, gather
 from repro.densest.core_exact import core_exact
 from repro.densest.exact import exact_densest
@@ -13,6 +12,7 @@ from repro.densest.network import build_network, min_cut_vertices
 from repro.graph import generators as gen
 from repro.graph.ops import edges_from_pandas
 from repro.patterns import clique, diamond, edge, star, triangle, two_triangle
+from tests.bruteforce import brute_force_densest
 
 PATTERNS = [edge(), triangle(), clique(4), star(2), diamond(), two_triangle()]
 
@@ -59,8 +59,7 @@ def test_certificate_proves_optimality(spark, seed, pat):
         assert rho == exact_density(members, res.vertices) == optimum, res.algorithm
         assert Fraction(cert["alpha"]) == rho, res.algorithm
         assert res.density == float(rho)
-        net, s, t, vids, _ = build_network(allv, members, rho, pat.nv,
-                                           grouped=pat.kind != "clique")
+        net, s, t, vids, _ = build_network(allv, members, rho, pat.nv)
         assert min_cut_vertices(net, s, t, vids) == [], res.algorithm
 
 

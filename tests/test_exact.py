@@ -3,12 +3,12 @@
 import pandas as pd
 import pytest
 
-from repro.densest.bruteforce import brute_force_densest
 from repro.densest.common import gather
 from repro.densest.exact import exact_densest
 from repro.graph import generators as gen
 from repro.graph.ops import edges_from_pandas
 from repro.patterns import clique, diamond, edge, generic, star, triangle, two_triangle
+from tests.bruteforce import brute_force_densest
 
 PATTERNS = [edge(), triangle(), clique(4), star(2), diamond(), two_triangle()]
 

@@ -18,11 +18,11 @@ from repro.densest.network import (
 )
 from repro.graph import generators as gen
 from repro.graph.ops import edges_from_pandas
-from repro.patterns import diamond, edge, triangle
+from repro.patterns import clique, diamond, edge, triangle
 
 
-def _mincut_value(vertex_ids, members, alpha, p, grouped=False):
-    net, s, t, _, _ = build_network(vertex_ids, members, alpha, p, grouped=grouped)
+def _mincut_value(vertex_ids, members, alpha, p):
+    net, s, t, _, _ = build_network(vertex_ids, members, alpha, p)
     return net.max_flow(s, t)
 
 
@@ -37,6 +37,21 @@ def test_group_instances_empty():
     members = np.empty((0, 3), dtype=np.int64)
     uniq, counts = group_instances(members)
     assert uniq.shape[0] == 0 and counts.shape[0] == 0
+
+
+def test_group_instances_matches_unique_rows():
+    """The lexsort grouping equals ``np.unique`` over the row-sorted
+    matrix, rows and counts in the same order, for small and large ids."""
+    cases = [np.empty((0, 4), dtype=np.int64)]
+    for seed in range(100):
+        members, _ = _random_members(np.random.default_rng(seed), 2 + seed % 5)
+        cases += [members, members + (1 << 40)]
+    for members in cases:
+        want_rows, want_counts = np.unique(np.sort(members, axis=1), axis=0,
+                                           return_counts=True)
+        rows, counts = group_instances(members)
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(counts, want_counts)
 
 
 def test_trivial_cut_capacity_is_h_mu():
@@ -73,9 +88,13 @@ def test_lemma12_grouped_equals_ungrouped(alpha):
     base = base[np.array([len(set(r)) == 4 for r in base])]
     members = np.vstack([base, base[: len(base) // 2]])  # force duplicates
     vids = sorted(set(members.flatten()))
-    v1 = _mincut_value(vids, members, alpha, 4, grouped=False)
-    v2 = _mincut_value(vids, members, alpha, 4, grouped=True)
-    assert v1 == pytest.approx(v2)
+    ref, t, _ = reference_network(vids, members, alpha, 4)
+    ref.min_cut_source_side(0, t)
+    v1 = sum(ref.cap[e ^ 1] for e in ref.head[0])  # flow out of s
+    v2 = _mincut_value(vids, members, alpha, 4)
+    assert v1 == v2
+    net, s, t, vids, _ = build_network(vids, members, alpha, 4)
+    assert min_cut_vertices(net, s, t, vids) == reference_cut(vids, members, alpha, 4, None)
 
 
 def test_lemma8_mask_shape_and_cap():
@@ -101,11 +120,20 @@ def test_lemma8_prunes_isolated_instance():
     assert not mask[4]
 
 
-def test_network_node_count():
+def test_network_node_count(spark):
     members = np.array([[0, 1, 2], [1, 2, 3]])
     _, s, t, vids, n_nodes = build_network([0, 1, 2, 3], members, 1.0, 3)
     assert n_nodes == 1 + 4 + 2 + 1
     assert s == 0 and t == n_nodes - 1
+    # construct+ is the identity on cliques: one node per instance
+    for graph in sorted(GRAPHS):
+        g = edges_from_pandas(spark, GRAPHS[graph]())
+        for pat in (edge(), triangle(), clique(4)):
+            allv, members = gather(spark, g, pat)
+            assert members.shape[0] > 0, (graph, pat.name)
+            assert (group_instances(members)[1] == 1).all(), (graph, pat.name)
+            _, _, _, _, n_nodes = build_network(allv, members, 1.0, pat.nv)
+            assert n_nodes == len(allv) + members.shape[0] + 2, (graph, pat.name)
 
 
 def lemma8_loop(members, n_vertices, cap=20_000):
@@ -180,6 +208,8 @@ def test_lemma8_kernel_large_vertex_ids():
 
 
 def test_lemma8_kernel_unique_rows_fallback():
+    """Wide rows over thousands of distinct ids: the mask still equals
+    the loop reference."""
     # enough distinct ids that n_loc ** p overflows int64 keys
     rng = np.random.default_rng(11)
     p = 6
@@ -209,16 +239,15 @@ def test_warm_started_probes_match_fresh_builds(spark, graph, pat):
     g = edges_from_pandas(spark, GRAPHS[graph]())
     allv, members = gather(spark, g, pat)
     assert members.shape[0] > 0
-    grouped = pat.kind != "clique"
     p, n = pat.nv, len(allv)
     lo, hi = 0.0, float(np.unique(members, return_counts=True)[1].max())
-    net, s, t, vids, _ = build_network(allv, members, lo, p, grouped=grouped)
+    net, s, t, vids, _ = build_network(allv, members, lo, p)
     outcomes = set()
     while hi - lo >= 1.0 / (n * (n - 1)):
         alpha = (lo + hi) / 2.0
         net.set_alpha(alpha)
         warm = min_cut_vertices(net, s, t, vids)
-        fresh_net, fs, ft, fvids, _ = build_network(allv, members, alpha, p, grouped=grouped)
+        fresh_net, fs, ft, fvids, _ = build_network(allv, members, alpha, p)
         assert warm == min_cut_vertices(fresh_net, fs, ft, fvids), alpha
         outcomes.add(bool(warm))
         if warm:
@@ -303,32 +332,35 @@ class ReferenceDinic:
         return {v for v in range(self.n) if self.level[v] >= 0}
 
 
-def reference_cut(vertex_ids, members, alpha, p, grouped, keep_mask):
-    """Min-cut vertices of the network built one ``add_edge`` at a time."""
+def reference_network(vertex_ids, members, alpha, p):
+    """Algorithm 1's network, one node per instance (no construct+
+    grouping), built one ``add_edge`` at a time — (net, t, vids)."""
     vids = sorted(int(v) for v in vertex_ids)
     nv = len(vids)
-    if keep_mask is not None and members.shape[0]:
-        members = members[keep_mask]
-    if grouped:
-        gm, gcount = group_instances(members)
-    else:
-        gm, gcount = members, np.ones(members.shape[0], dtype=np.int64)
     alpha = Fraction(alpha)
     b = alpha.denominator
-    t = nv + gm.shape[0] + 1
+    t = nv + members.shape[0] + 1
     net = ReferenceDinic(t + 1)
-    nodes = np.searchsorted(np.asarray(vids, dtype=np.int64), gm) + 1
+    nodes = np.searchsorted(np.asarray(vids, dtype=np.int64), members) + 1
     deg = [0] * (nv + 1)
-    for row, c in zip(nodes.tolist(), gcount.tolist()):
+    for row in nodes.tolist():
         for v in row:
-            deg[v] += c
+            deg[v] += 1
     for i in range(1, nv + 1):
         net.add_edge(0, i, deg[i] * b)
         net.add_edge(i, t, alpha.numerator * p)
-    for r, (row, c) in enumerate(zip(nodes.tolist(), gcount.tolist())):
+    for r, row in enumerate(nodes.tolist()):
         for v in row:
-            net.add_edge(v, nv + 1 + r, c * b)
-            net.add_edge(nv + 1 + r, v, c * (p - 1) * b)
+            net.add_edge(v, nv + 1 + r, b)
+            net.add_edge(nv + 1 + r, v, (p - 1) * b)
+    return net, t, vids
+
+
+def reference_cut(vertex_ids, members, alpha, p, keep_mask):
+    """Min-cut vertices of ``reference_network`` on the kept rows."""
+    if keep_mask is not None and members.shape[0]:
+        members = members[keep_mask]
+    net, t, vids = reference_network(vertex_ids, members, alpha, p)
     side = net.min_cut_source_side(0, t)
     return [v for i, v in enumerate(vids, start=1) if i in side]
 
@@ -338,24 +370,23 @@ def reference_cut(vertex_ids, members, alpha, p, grouped, keep_mask):
 @pytest.mark.parametrize("pat", WARM_PATTERNS, ids=[p.name for p in WARM_PATTERNS])
 def test_csr_network_matches_reference(spark, graph, pat, lemma8):
     """Over the warm-start alpha sequence, the CSR network's cut (one
-    network, warm-started) equals the reference network's cut, built fresh
-    at each alpha; construct+ for the diamond, with and without the
-    Lemma-8 mask."""
+    construct+ network, warm-started) equals the cut of the ungrouped
+    reference network, built fresh at each alpha (Lemma 12 on the cut
+    sides), with and without the Lemma-8 mask."""
     g = edges_from_pandas(spark, GRAPHS[graph]())
     allv, members = gather(spark, g, pat)
-    grouped = pat.kind != "clique"
     p, n = pat.nv, len(allv)
     keep = lemma8_keep_mask(members, n) if lemma8 else None
     lo, hi = Fraction(0), Fraction(int(np.unique(members, return_counts=True)[1].max()))
     net, s, t, vids, n_nodes = build_network(
-        allv, members if keep is None else members[keep], lo, p, grouped=grouped)
+        allv, members if keep is None else members[keep], lo, p)
     assert len(net.to) == 2 * (2 * n + 2 * p * (n_nodes - n - 2))
     outcomes = set()
     while hi - lo >= Fraction(1, n * (n - 1)):
         alpha = (lo + hi) / 2
         net.set_alpha(alpha)
         cut = min_cut_vertices(net, s, t, vids)
-        assert cut == reference_cut(allv, members, alpha, p, grouped, keep), alpha
+        assert cut == reference_cut(allv, members, alpha, p, keep), alpha
         outcomes.add(bool(cut))
         if cut:
             lo = alpha

@@ -1,13 +1,13 @@
 """PDS problem (§7): pattern-densest subgraphs + Table-5-style invariants."""
 import pytest
 
-from repro.densest.bruteforce import brute_force_densest
 from repro.densest.common import exact_density, gather
 from repro.densest.core_exact import core_exact
 from repro.densest.exact import exact_densest
 from repro.graph import generators as gen
 from repro.graph.ops import edges_from_pandas
 from repro.patterns import c3_star, diamond, edge, star, two_triangle
+from tests.bruteforce import brute_force_densest
 
 PDS_PATTERNS = [star(2), c3_star(), diamond(), two_triangle()]
 
