@@ -8,6 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from repro.densest import network
 from repro.densest.common import gather
 from repro.densest.network import (
     LEMMA8_CAP,
@@ -222,6 +223,41 @@ def test_lemma8_kernel_unique_rows_fallback():
     for n_vertices in (n_loc, n_loc + 50):
         want = lemma8_loop(members, n_vertices)
         np.testing.assert_array_equal(lemma8_keep_mask(members, n_vertices), want)
+
+
+def _two_cliques(a, b, h):
+    """h-cliques of K_a and K_b (ids a..a+b-1), joined by the edge (0, a)."""
+    rows = list(combinations(range(a), h)) + list(combinations(range(a, a + b), h))
+    if h == 2:
+        rows.append((0, a))
+    return np.array(rows, dtype=np.int64), a + b
+
+
+def test_lemma8_kernel_unequal_cliques_match_loop():
+    # K8's vertices have lower triangle-degree than the average, so all
+    # its rows are candidates for the exact union; K9's are not
+    members, n_vertices = _two_cliques(8, 9, 3)
+    np.testing.assert_array_equal(
+        lemma8_keep_mask(members, n_vertices), lemma8_loop(members, n_vertices))
+
+
+def test_lemma8_pairs_cap(monkeypatch):
+    # the remote triangle is the only candidate, expanding 3 pairs
+    dense = [list(c) for c in combinations(range(4), 3)]
+    members = np.array(dense + [[10, 11, 12]])
+    monkeypatch.setattr(network, "LEMMA8_PAIRS_CAP", 3)
+    assert not lemma8_keep_mask(members, 7)[4]
+    monkeypatch.setattr(network, "LEMMA8_PAIRS_CAP", 2)
+    assert lemma8_keep_mask(members, 7).all()
+
+
+def test_lemma8_skips_quadratic_expansion():
+    # K17 + K18, 5-cliques: 14,756 rows, under LEMMA8_CAP. Every K17 row is
+    # a candidate, and expanding them would take 6188 * 5 * 1820 pairs
+    members, n_vertices = _two_cliques(17, 18, 5)
+    assert members.shape[0] <= LEMMA8_CAP
+    assert 6188 * 5 * 1820 > network.LEMMA8_PAIRS_CAP
+    assert lemma8_keep_mask(members, n_vertices).all()
 
 
 GRAPHS = {
