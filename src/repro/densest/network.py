@@ -169,13 +169,12 @@ def min_cut_vertices(net: DensityNetwork, s: int, t: int, vids: np.ndarray) -> l
     return cut
 
 
-# Lemma 8 runs only on at most this many instances (see lemma8_keep_mask)
+# Lemma 8 runs on at most LEMMA8_CAP instances and expands at most
+# LEMMA8_PAIRS_CAP (candidate row, instance) pairs (see lemma8_keep_mask):
+# two cliques of unequal degree make every row of the sparser one a
+# candidate, up to |Lambda|^2 p pairs, and the prune is optional. Yeast's
+# 2-star component expands 256,617 pairs in 12 ms on a 4-core Xeon VM.
 LEMMA8_CAP = 20_000
-# ... and expands at most this many (candidate row, instance) pairs: the
-# expansion can reach |Lambda|^2 p pairs (two cliques of unequal degree
-# make every row of the sparser one a candidate), while the prune is
-# optional (with the defaults it removes nothing). The 256,617 pairs of
-# yeast's 2-star component take 12 ms on a 4-core Xeon VM.
 LEMMA8_PAIRS_CAP = 1 << 18
 
 

@@ -242,6 +242,12 @@ def test_lemma8_kernel_unequal_cliques_match_loop():
 
 
 def test_lemma8_pairs_cap(monkeypatch):
+    # K17 + K18, 5-cliques: 14,756 rows, under LEMMA8_CAP. Every K17 row is
+    # a candidate, and expanding them would take 6188 * 5 * 1820 pairs
+    members, n_vertices = _two_cliques(17, 18, 5)
+    assert members.shape[0] <= LEMMA8_CAP
+    assert 6188 * 5 * 1820 > network.LEMMA8_PAIRS_CAP
+    assert lemma8_keep_mask(members, n_vertices).all()
     # the remote triangle is the only candidate, expanding 3 pairs
     dense = [list(c) for c in combinations(range(4), 3)]
     members = np.array(dense + [[10, 11, 12]])
@@ -249,15 +255,6 @@ def test_lemma8_pairs_cap(monkeypatch):
     assert not lemma8_keep_mask(members, 7)[4]
     monkeypatch.setattr(network, "LEMMA8_PAIRS_CAP", 2)
     assert lemma8_keep_mask(members, 7).all()
-
-
-def test_lemma8_skips_quadratic_expansion():
-    # K17 + K18, 5-cliques: 14,756 rows, under LEMMA8_CAP. Every K17 row is
-    # a candidate, and expanding them would take 6188 * 5 * 1820 pairs
-    members, n_vertices = _two_cliques(17, 18, 5)
-    assert members.shape[0] <= LEMMA8_CAP
-    assert 6188 * 5 * 1820 > network.LEMMA8_PAIRS_CAP
-    assert lemma8_keep_mask(members, n_vertices).all()
 
 
 GRAPHS = {
